@@ -14,7 +14,6 @@ from .kernels import (
     DiscreteDistribution,
     MultiProposal,
     MutationKernelPair,
-    is_reweighting_as_mutation,
     reweighting_pair,
 )
 from .mutation import mutate, mutate_multi
@@ -24,12 +23,11 @@ from .resampling import (
     ResamplingPolicy,
     conditional_mean,
     conditional_variance,
-    multinomial_resample,
+    resample,
     residual_counts,
     residual_deterministic_limit,
     residual_limit_weight,
     residual_regularity_check,
-    residual_resample,
 )
 from .state_space import (
     OPTIMAL,
@@ -38,19 +36,17 @@ from .state_space import (
     DiscreteHMM,
     LinearGaussianSSM,
     SmcTrace,
+    StepKernel,
     exact_joint_smoothing,
     forward_backward_marginals,
-    optimal_proposal,
-    prior_proposal,
     random_likelihood_table,
-    resample_move_proposal,
     smc_init,
     smc_run,
     smc_step,
+    step_kernel,
 )
 from .variance_oracle import (
     VarianceRecursionState,
-    ess_limit,
     mutated_cv2_limit,
     recursion_init,
     recursion_step,
@@ -76,7 +72,6 @@ __all__ = [
     "DiscreteDistribution",
     "MultiProposal",
     "MutationKernelPair",
-    "is_reweighting_as_mutation",
     "reweighting_pair",
     "mutate",
     "mutate_multi",
@@ -85,29 +80,26 @@ __all__ = [
     "ResamplingPolicy",
     "conditional_mean",
     "conditional_variance",
-    "multinomial_resample",
+    "resample",
     "residual_counts",
     "residual_deterministic_limit",
     "residual_limit_weight",
     "residual_regularity_check",
-    "residual_resample",
     "OPTIMAL",
     "PRIOR",
     "RESAMPLE_MOVE",
     "DiscreteHMM",
     "LinearGaussianSSM",
     "SmcTrace",
+    "StepKernel",
     "exact_joint_smoothing",
     "forward_backward_marginals",
-    "optimal_proposal",
-    "prior_proposal",
     "random_likelihood_table",
-    "resample_move_proposal",
     "smc_init",
     "smc_run",
     "smc_step",
+    "step_kernel",
     "VarianceRecursionState",
-    "ess_limit",
     "mutated_cv2_limit",
     "recursion_init",
     "recursion_step",

@@ -35,6 +35,7 @@ from .harness import (
     counterexample_run,
     lln_check,
     policy_from_dict,
+    require_lln_grid,
     run_replicates,
     summarize_counterexample,
 )
@@ -161,13 +162,8 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
 
     pol = cfg["policy"]
     _require_keys(pol, "policy", (), ("scheme", "trigger", "kappa2", "ell"))
-    kappa2 = pol.get("kappa2", 0.0)
-    if kappa2 == "inf":
-        kappa2 = math.inf
-    if not isinstance(kappa2, (int, float)) or (math.isfinite(kappa2) and kappa2 < 0):
-        raise ConfigError("policy.kappa2: expected a nonnegative number or 'inf'")
     try:
-        policy = policy_from_dict({**pol, "kappa2": kappa2})
+        policy = policy_from_dict(pol)
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from exc
 
@@ -246,27 +242,27 @@ def resolved_kappa2(policy) -> float:
 
 
 def _require_oracle_compatible(policy) -> None:
-    # the variance recursion models multinomial selection only; a residual
-    # scheme that can actually fire would be compared against the wrong
-    # oracle
-    if policy.scheme != "multinomial" and policy.trigger != "never":
+    # the variance recursion models multinomial selection at ell = 1 only;
+    # any other selection that can actually fire would be compared against
+    # the wrong oracle
+    if policy.trigger == "never":
+        return
+    if policy.scheme != "multinomial":
         raise ConfigError(
             "the exact variance recursion covers multinomial selection only; "
             "use scheme 'multinomial' (or trigger 'never') here"
         )
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    if policy.ratio != 1.0:
+        raise ConfigError(
+            "the exact variance recursion assumes an output size equal to the "
+            "input size; use ell 1 (or trigger 'never') here"
+        )
 
 
 def _sanitize(obj):
+    """A JSON-ready copy: numpy values become Python ones, infinities "inf"."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -279,7 +275,7 @@ def _sanitize(obj):
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2, default=_json_default) + "\n")
+    path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
     log.info("wrote %s", path)
 
 
@@ -330,6 +326,10 @@ def cmd_verify_resampling(args, cfg: dict) -> int:
 
 def cmd_verify_lln(args, cfg: dict) -> int:
     experiment = build_experiment(cfg, args.seed)
+    try:
+        require_lln_grid(experiment.particle_counts)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.m_list: {exc}") from exc
     report = run_replicates(experiment, workers=args.workers)
     check = lln_check(report)
     summary = report.to_json_dict()

@@ -149,9 +149,12 @@ def policy_to_dict(policy: ResamplingPolicy) -> dict:
 
 
 def policy_from_dict(d: dict) -> ResamplingPolicy:
+    """Inverse of :func:`policy_to_dict`; ``kappa2`` may be the string "inf"."""
     kappa2 = d.get("kappa2", 0.0)
     if kappa2 == "inf":
         kappa2 = math.inf
+    if not isinstance(kappa2, (int, float)) or (math.isfinite(kappa2) and kappa2 < 0):
+        raise ValueError("kappa2: expected a nonnegative number or 'inf'")
     return ResamplingPolicy(
         scheme=d.get("scheme", "multinomial"),
         trigger=d.get("trigger", "always"),
@@ -365,6 +368,13 @@ class LlnCheck:
     median_max_fraction_by_m: dict
 
 
+def require_lln_grid(counts: Sequence[int]) -> None:
+    """Raise unless the particle counts support the rate fit of :func:`lln_check`."""
+    counts = sorted(counts)
+    if len(counts) < 4 or math.log2(counts[-1] / counts[0]) < 4.0:
+        raise ValueError("the rate fit needs >= 4 particle counts spanning a factor of 16")
+
+
 def lln_check(
     report: ExperimentReport,
     function: str | None = None,
@@ -378,8 +388,7 @@ def lln_check(
     with the particle count.
     """
     counts = sorted({row["m"] for row in report.rows})
-    if len(counts) < 4 or math.log2(counts[-1] / counts[0]) < 4.0:
-        raise ValueError("the rate fit needs >= 4 particle counts spanning a factor of 16")
+    require_lln_grid(counts)
     if function is None:
         function = next(iter(report.truths))
     rmse = {}

@@ -158,7 +158,3 @@ def reweighting_pair(density_ratio: Callable[[Point], float]) -> MutationKernelP
         is_reweighting=True,
     )
 
-
-def is_reweighting_as_mutation(pair: MutationKernelPair) -> bool:
-    """True for pairs built by :func:`reweighting_pair` (Dirac proposals)."""
-    return pair.is_reweighting

@@ -37,19 +37,7 @@ def mutate(
     """
     if alpha < 1:
         raise ValueError("invalid offspring count: alpha must be >= 1")
-    particles = []
-    weights = np.empty(alpha * sample.size)
-    j = 0
-    for x, w in zip(sample.particles, sample.weights):
-        for _ in range(alpha):
-            y = pair.propose(rng, x)
-            incr = float(pair.weight(x, y))
-            if not np.isfinite(incr) or incr < 0.0:
-                raise ValueError("invalid weight: W(x, y) must be finite and nonnegative")
-            particles.append(y)
-            weights[j] = w * incr
-            j += 1
-    return WeightedSample(particles, weights)
+    return mutate_multi(sample, MultiProposal([pair] * alpha, pair.weight), rng)
 
 
 def mutate_multi(

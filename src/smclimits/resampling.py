@@ -141,18 +141,6 @@ def resample_indices(
     raise ValueError(f"unknown resampling scheme {scheme!r}")
 
 
-def multinomial_resample(
-    sample: WeightedSample, m_out: int, rng: np.random.Generator
-) -> WeightedSample:
-    """Draw ``m_out`` particles i.i.d. proportionally to the weights.
-
-    The output is equally weighted (all weights 1) and every output
-    particle is a copy of some input particle.
-    """
-    idx = resample_indices(sample.weights, m_out, MULTINOMIAL, rng)
-    return WeightedSample([sample.particles[i] for i in idx], np.ones(m_out))
-
-
 def residual_counts(sample: WeightedSample, m_out: int) -> ResidualAllocation:
     """Split ``m_out`` output slots into guaranteed copies plus a residual pool.
 
@@ -166,18 +154,15 @@ def residual_counts(sample: WeightedSample, m_out: int) -> ResidualAllocation:
     return _residual_alloc(sample.weights, sample.total, m_out)
 
 
-def residual_resample(
-    sample: WeightedSample, m_out: int, rng: np.random.Generator
-) -> WeightedSample:
-    """Deterministic-plus-residual resampling to ``m_out`` unit weights."""
-    idx = resample_indices(sample.weights, m_out, RESIDUAL, rng)
-    return WeightedSample([sample.particles[i] for i in idx], np.ones(m_out))
-
-
 def resample(
     sample: WeightedSample, scheme: str, m_out: int, rng: np.random.Generator
 ) -> WeightedSample:
-    """Dispatch on the scheme name."""
+    """Resample to ``m_out`` unit-weight copies of input particles.
+
+    ``scheme`` is :data:`MULTINOMIAL` (i.i.d. draws proportional to the
+    weights) or :data:`RESIDUAL` (guaranteed copies first, in input order,
+    then the residual draws); the draws are those of :func:`resample_indices`.
+    """
     idx = resample_indices(sample.weights, m_out, scheme, rng)
     return WeightedSample([sample.particles[i] for i in idx], np.ones(m_out))
 
@@ -253,9 +238,10 @@ def residual_limit_weight(x: float) -> float:
     return 1.0 - math.floor(x) / x
 
 
-def _point_values(
+def point_values(
     dist: DiscreteDistribution, ell: float, phi: Callable[[Point], float]
 ) -> np.ndarray:
+    """Limiting expected copy count ell * nu(1/phi) * phi(v) of each atom v."""
     inv_phi = dist.expect(lambda v: 1.0 / phi(v))
     return np.array([ell * inv_phi * phi(v) for v in dist.values])
 
@@ -274,7 +260,7 @@ def residual_regularity_check(
     """
     if math.isinf(ell):
         return False
-    xs = _point_values(dist, ell, phi)
+    xs = point_values(dist, ell, phi)
     for x, p in zip(xs, dist.probabilities):
         if p == 0.0:
             continue
@@ -297,7 +283,7 @@ def residual_deterministic_limit(
     """
     if not residual_regularity_check(dist, ell, phi):
         raise ValueError("atomic integer mass: the deterministic part has no limit")
-    xs = _point_values(dist, ell, phi)
+    xs = point_values(dist, ell, phi)
     probs = dist.probabilities
     vals = np.array([f(v) for v in dist.values], dtype=float)
     return float(np.sum(probs * vals * np.floor(xs) / xs))

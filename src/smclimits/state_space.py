@@ -17,15 +17,18 @@ Three proposal kernels are built in:
   Metropolis-Hastings move that leaves the previous smoothing law
   invariant, then extend as the prior kernel does.
 
-For discrete models everything is exactly enumerable, which the oracle
-modules rely on; a scalar linear-Gaussian model is included for
-continuous-state smoke tests with Kalman-filter reference values.
+Each kind is defined once, by :func:`step_kernel`; the filter, the kernel
+pairs and the variance oracle all read that definition.  For discrete
+models everything is exactly enumerable, which the oracle modules rely
+on; a scalar linear-Gaussian model is included for continuous-state
+smoke tests with Kalman-filter reference values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -188,198 +191,194 @@ class LinearGaussianSSM:
 
 
 # ---------------------------------------------------------------------------
-# Proposal kernels (path particles are tuples of state indices / scalars)
+# The step kernel: proposal R and weight W = dL/dR of one mutation step
 # ---------------------------------------------------------------------------
 
 
-def _check_step(model, k: int) -> None:
+def _rows_categorical(cum_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per row of a cumulative-probability matrix."""
+    u = rng.random(cum_rows.shape[0]) * cum_rows[:, -1]
+    idx = np.sum(cum_rows <= u[:, None], axis=1)
+    return np.minimum(idx, cum_rows.shape[1] - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class StepKernel:
+    """The proposal kernel R and weight W = dL/dR of the mutation into step k.
+
+    This is the one definition of each proposal kind.  The filter samples
+    through :meth:`mutate`, :meth:`pair` is the per-particle kernel pair,
+    and the variance oracle contracts :meth:`apply_rw` and :meth:`push_w2`
+    over path space.
+
+    For discrete models ``prop[parent, child]`` is the law of the new
+    coordinate given the parent's last one, and ``w`` is W with a length-1
+    axis on the side it ignores: ``g_k[None, :]`` for the prior and the
+    path move, the predictive likelihoods ``norms[:, None]`` for the
+    optimal kernel.  From step 3 on, ``resample_move`` first moves the
+    parent's last coordinate through :attr:`moves`.  The linear-Gaussian
+    kernels hold no tables.
+    """
+
+    model: DiscreteHMM | LinearGaussianSSM
+    k: int
+    kind: str
+    prop: np.ndarray | None = None
+    w: np.ndarray | None = None
+
+    @property
+    def has_move(self) -> bool:
+        """True when the parent's last coordinate moves before the extension."""
+        return self.kind == RESAMPLE_MOVE and self.k >= 3
+
+    @property
+    def _move_target(self) -> np.ndarray:
+        # t[e, x] = transition[e, x] * g_{k-1}(x): the smoothing law's
+        # conditional of coordinate k-1 given coordinate k-2, unnormalized
+        return self.model.transition * self.model.likelihoods[self.k - 2][None, :]
+
+    @cached_property
+    def moves(self) -> np.ndarray | None:
+        """Metropolis-Hastings matrices rejuvenating coordinate k-1 (None without a move).
+
+        Element [e, c, m] is the chance that the path's last coordinate
+        moves from c to m when the coordinate before it is e.  The move
+        proposes uniformly over states and accepts with the ratio of the
+        target conditional t_e; by detailed balance each matrix leaves t_e
+        invariant.  Built on first use: the filter's sampler never reads it.
+        """
+        if not self.has_move:
+            return None
+        target = self._move_target
+        n = target.shape[0]
+        mats = np.empty((n, n, n))
+        for e, t in enumerate(target):
+            accept = np.ones((n, n))
+            pos = t > 0.0
+            # rows with t[c] > 0 accept with min(1, t[m]/t[c]); rows at a
+            # null point of the target accept everything
+            accept[pos, :] = np.minimum(1.0, t[None, :] / t[pos, None])
+            p = accept / n
+            np.fill_diagonal(p, 0.0)
+            np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+            mats[e] = p
+        return mats
+
+    def _lgssm_log_weight(self, last, new):
+        model = self.model
+        y = model.observations[self.k - 1]
+        if self.kind == PRIOR:
+            mean, var = new, model.obs_std**2
+        else:
+            mean, var = model.ar_coeff * last, model.state_std**2 + model.obs_std**2
+        return -0.5 * (y - mean) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
+
+    def _weight(self, last, new):
+        """W at (parent's last coordinate, new coordinate), elementwise."""
+        if self.w is None:
+            return np.exp(self._lgssm_log_weight(last, new))
+        return self.w.ravel()[new if self.w.shape[0] == 1 else last]
+
+    def mutate(
+        self, paths: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Extend every path by one coordinate; return the new paths and log W.
+
+        Draws per path, in this order: for the path move, a uniform
+        proposal for every path, then an acceptance uniform for every
+        path; then one draw per path for the new coordinate.
+        """
+        last = paths[:, -1]
+        m = paths.shape[0]
+        if self.w is None:
+            model = self.model
+            noise = rng.standard_normal(m)
+            if self.kind == PRIOR:
+                new = model.ar_coeff * last + model.state_std * noise
+            else:
+                sx2, tau2 = model.state_std**2, model.obs_std**2
+                post_var = sx2 * tau2 / (sx2 + tau2)
+                y = model.observations[self.k - 1]
+                post_mean = post_var * (model.ar_coeff * last / sx2 + y / tau2)
+                new = post_mean + math.sqrt(post_var) * noise
+            return np.hstack([paths, new[:, None]]), self._lgssm_log_weight(last, new)
+        if self.has_move:
+            target = self._move_target
+            prev = paths[:, -2]
+            proposals = rng.integers(0, target.shape[0], size=m)
+            t_prop = target[prev, proposals]
+            t_cur = target[prev, last]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(t_cur > 0.0, t_prop / np.where(t_cur > 0.0, t_cur, 1.0), np.inf)
+            last = np.where(rng.random(m) < ratio, proposals, last)
+        new = _rows_categorical(np.cumsum(self.prop, axis=1)[last], rng)
+        paths = np.hstack([paths[:, :-1], last[:, None], new[:, None]])
+        return paths, np.log(self._weight(last, new))
+
+    def pair(self) -> MutationKernelPair:
+        """The per-particle kernel pair; ``propose`` runs :meth:`mutate` on one row."""
+
+        def propose(rng, x):
+            return tuple(self.mutate(np.array([x]), rng)[0][0].tolist())
+
+        def support(x):
+            if not self.has_move:
+                return [(x + (j,), float(p)) for j, p in enumerate(self.prop[x[-1]])]
+            joint = self.moves[x[-2], x[-1]][:, None] * self.prop
+            return [
+                (x[:-1] + (c, j), float(joint[c, j]))
+                for c, j in np.ndindex(joint.shape)
+                if joint[c, j] > 0.0
+            ]
+
+        return MutationKernelPair(
+            propose=propose,
+            weight=lambda x, y: float(self._weight(x[-1], y[-1])),
+            support=None if self.w is None else support,
+            degenerate_move=self.kind == RESAMPLE_MOVE and not self.has_move,
+        )
+
+    def apply_rw(self, h: np.ndarray, p: int) -> np.ndarray:
+        """Map h over length-k paths to x -> R(x, W^p h) over length-(k-1) paths."""
+        rw = self.prop * self.w**p
+        if self.moves is None:
+            return np.einsum("...ij,ij->...i", h, rw)
+        return np.einsum("ecm,mj,...emj->...ec", self.moves, rw, h)
+
+    def push_w2(self, meas: np.ndarray) -> np.ndarray:
+        """The adjoint of ``apply_rw(., 2)``: carry a measure forward with density W^2."""
+        rw = self.prop * self.w**2
+        if self.moves is None:
+            return np.einsum("...i,ij->...ij", meas, rw)
+        return np.einsum("...ec,ecm,mj->...emj", meas, self.moves, rw)
+
+
+def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> StepKernel:
+    """The proposal kernel and weight of the mutation into step k.
+
+    ``prior`` extends with the transition and weights by g_k.  ``optimal``
+    extends with the transition tilted by g_k and weights by the tilt's
+    normalizer, the predictive likelihood sum_j transition[x_{k-1}, j]
+    g_k(j), which depends on the parent only.  ``resample_move`` moves the
+    parent's last coordinate first (from step 3 on; the pair is flagged
+    ``degenerate_move`` before that) and then extends as the prior does.
+    """
     if not 2 <= k <= model.horizon:
         raise ValueError(f"step {k} outside 2..{model.horizon}")
-
-
-def _normal_logpdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (x - mean) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
-
-
-def _lgssm_prior(model: LinearGaussianSSM, k: int) -> MutationKernelPair:
-    y = model.observations[k - 1]
-    tau2 = model.obs_std**2
-
-    def propose(rng, x):
-        return x + (model.ar_coeff * x[-1] + model.state_std * rng.standard_normal(),)
-
-    return MutationKernelPair(
-        propose=propose,
-        weight=lambda x, yy: math.exp(_normal_logpdf(y, yy[-1], tau2)),
-    )
-
-
-def _lgssm_optimal(model: LinearGaussianSSM, k: int) -> MutationKernelPair:
-    y = model.observations[k - 1]
-    sx2, tau2 = model.state_std**2, model.obs_std**2
-    post_var = sx2 * tau2 / (sx2 + tau2)
-    pred_var = sx2 + tau2
-
-    def propose(rng, x):
-        mean = post_var * (model.ar_coeff * x[-1] / sx2 + y / tau2)
-        return x + (mean + math.sqrt(post_var) * rng.standard_normal(),)
-
-    return MutationKernelPair(
-        propose=propose,
-        weight=lambda x, yy: math.exp(_normal_logpdf(y, model.ar_coeff * x[-1], pred_var)),
-    )
-
-
-def move_matrices(model: DiscreteHMM, k: int, n_moves: int = 1) -> np.ndarray:
-    """Metropolis-Hastings matrices rejuvenating coordinate k-1 before step k.
-
-    Element [e, c, m] is the chance that the path's last coordinate moves
-    from c to m when the coordinate before it is e.  The move proposes
-    uniformly over states and accepts with the ratio of the target
-    conditional t_e(x) = transition[e, x] * likelihood_{k-1}(x); by
-    detailed balance each matrix leaves t_e invariant.  ``n_moves``
-    composes the move with itself.
-    """
-    _check_step(model, k)
-    if k < 3:
-        raise ValueError("the path move needs at least two past coordinates")
-    n = model.n_states
-    g_prev = model.likelihoods[k - 2]
-    mats = np.empty((n, n, n))
-    for e in range(n):
-        t = model.transition[e] * g_prev
-        accept = np.ones((n, n))
-        pos = t > 0.0
-        # rows with t[c] > 0 accept with min(1, t[m]/t[c]); rows at a
-        # null point of the target accept everything
-        accept[pos, :] = np.minimum(1.0, t[None, :] / t[pos, None])
-        p = accept / n
-        np.fill_diagonal(p, 0.0)
-        np.fill_diagonal(p, 1.0 - p.sum(axis=1))
-        mats[e] = np.linalg.matrix_power(p, n_moves) if n_moves != 1 else p
-    return mats
-
-
-def prior_proposal(model: DiscreteHMM | LinearGaussianSSM, k: int) -> MutationKernelPair:
-    """Extend the path with the state transition; weight by the likelihood."""
-    _check_step(model, k)
+    if kind not in PROPOSAL_KINDS:
+        raise ValueError(f"unknown proposal kind {kind!r}")
     if isinstance(model, LinearGaussianSSM):
-        return _lgssm_prior(model, k)
-    q = model.transition
-    cum = np.cumsum(q, axis=1)
-    g = model.likelihoods[k - 1]
-
-    def propose(rng, x):
-        row = cum[x[-1]]
-        j = int(min(np.searchsorted(row, rng.random() * row[-1], side="right"), q.shape[1] - 1))
-        return x + (j,)
-
-    return MutationKernelPair(
-        propose=propose,
-        weight=lambda x, y: float(g[y[-1]]),
-        support=lambda x: [(x + (j,), float(q[x[-1], j])) for j in range(q.shape[1])],
-    )
-
-
-def optimal_proposal(model: DiscreteHMM | LinearGaussianSSM, k: int) -> MutationKernelPair:
-    """Extend with the likelihood-tilted transition.
-
-    The proposal law is proportional to transition[x_{k-1}, .] * g_k(.)
-    and the incremental weight is its normalizer, the predictive
-    likelihood sum_j transition[x_{k-1}, j] g_k(j): it depends on the
-    parent's last state only, never on the offspring.
-    """
-    _check_step(model, k)
-    if isinstance(model, LinearGaussianSSM):
-        return _lgssm_optimal(model, k)
-    g = model.likelihoods[k - 1]
-    tilted = model.transition * g[None, :]
-    norms = np.sum(tilted, axis=1)
+        if kind == RESAMPLE_MOVE:
+            raise ValueError("the path move is only available for discrete models")
+        return StepKernel(model, k, kind)
+    g = model.likelihoods[k - 1][None, :]
+    if kind != OPTIMAL:
+        return StepKernel(model, k, kind, model.transition, g)
+    tilted = model.transition * g
+    norms = np.sum(tilted, axis=1, keepdims=True)
     if np.any(norms <= 0.0):
         raise ValueError("optimal kernel undefined: a transition row has zero tilted mass")
-    probs = tilted / norms[:, None]
-    cum = np.cumsum(probs, axis=1)
-
-    def propose(rng, x):
-        row = cum[x[-1]]
-        j = int(min(np.searchsorted(row, rng.random() * row[-1], side="right"), probs.shape[1] - 1))
-        return x + (j,)
-
-    return MutationKernelPair(
-        propose=propose,
-        weight=lambda x, y: float(norms[x[-1]]),
-        support=lambda x: [(x + (j,), float(probs[x[-1], j])) for j in range(probs.shape[1])],
-    )
-
-
-def resample_move_proposal(
-    model: DiscreteHMM, k: int, n_moves: int = 1
-) -> MutationKernelPair:
-    """Move the path's last coordinate, then extend as the prior kernel.
-
-    The move is a Metropolis-Hastings pass (see :func:`move_matrices`)
-    whose target is the smoothing law's conditional of coordinate k-1
-    given coordinate k-2, so the previous smoothing law stays invariant;
-    the incremental weight is again the new state's likelihood.  With
-    ``n_moves=0``, or at steps with fewer than two past coordinates, the
-    pair reduces to the plain prior extension (flagged as degenerate in
-    the latter case).
-    """
-    _check_step(model, k)
-    if not isinstance(model, DiscreteHMM):
-        raise ValueError("the path move is only available for discrete models")
-    if k < 3:
-        base = prior_proposal(model, k)
-        return MutationKernelPair(
-            propose=base.propose,
-            weight=base.weight,
-            support=base.support,
-            degenerate_move=True,
-        )
-    if n_moves == 0:
-        return prior_proposal(model, k)
-    n = model.n_states
-    q = model.transition
-    cum_q = np.cumsum(q, axis=1)
-    g = model.likelihoods[k - 1]
-    mats = move_matrices(model, k, n_moves)
-    cum_mats = np.cumsum(mats, axis=2)
-
-    def propose(rng, x):
-        e, c = x[-2], x[-1]
-        row = cum_mats[e, c]
-        m = int(min(np.searchsorted(row, rng.random() * row[-1], side="right"), n - 1))
-        row = cum_q[m]
-        j = int(min(np.searchsorted(row, rng.random() * row[-1], side="right"), n - 1))
-        return x[:-1] + (m, j)
-
-    def support(x):
-        e, c = x[-2], x[-1]
-        out = []
-        for m in range(n):
-            pm = mats[e, c, m]
-            if pm == 0.0:
-                continue
-            for j in range(n):
-                if q[m, j] > 0.0:
-                    out.append((x[:-1] + (m, j), float(pm * q[m, j])))
-        return out
-
-    return MutationKernelPair(
-        propose=propose,
-        weight=lambda x, y: float(g[y[-1]]),
-        support=support,
-    )
-
-
-def make_proposal(model, k: int, kind: str) -> MutationKernelPair:
-    if kind == PRIOR:
-        return prior_proposal(model, k)
-    if kind == OPTIMAL:
-        return optimal_proposal(model, k)
-    if kind == RESAMPLE_MOVE:
-        return resample_move_proposal(model, k)
-    raise ValueError(f"unknown proposal kind {kind!r}")
+    return StepKernel(model, k, kind, tilted / norms, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +557,6 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _rows_categorical(cum_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One inverse-CDF draw per row of a cumulative-probability matrix."""
-    u = rng.random(cum_rows.shape[0]) * cum_rows[:, -1]
-    idx = np.sum(cum_rows <= u[:, None], axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
-
-
 def smc_init(
     model: DiscreteHMM | LinearGaussianSSM,
     m: int,
@@ -613,66 +605,6 @@ def smc_init(
     return SmcTrace(model, proposal_kind, policy, [record])
 
 
-def _mutate_discrete(model, kind, k, paths, rng):
-    """Extend every path by one coordinate; return new paths and log-weights."""
-    n = model.n_states
-    g = model.likelihoods[k - 1]
-    last = paths[:, -1]
-    if kind == PRIOR or (kind == RESAMPLE_MOVE and k < 3):
-        cum = np.cumsum(model.transition, axis=1)
-        new = _rows_categorical(cum[last], rng)
-        log_inc = np.log(g[new])
-    elif kind == OPTIMAL:
-        tilted = model.transition * g[None, :]
-        norms = np.sum(tilted, axis=1)
-        if np.any(norms <= 0.0):
-            raise ValueError("optimal kernel undefined: a transition row has zero tilted mass")
-        cum = np.cumsum(tilted / norms[:, None], axis=1)
-        new = _rows_categorical(cum[last], rng)
-        log_inc = np.log(norms[last])
-    elif kind == RESAMPLE_MOVE:
-        g_prev = model.likelihoods[k - 2]
-        prev = paths[:, -2]
-        current = last.copy()
-        # one uniform-proposal MH pass on the last past coordinate
-        proposals = rng.integers(0, n, size=paths.shape[0])
-        t_prop = model.transition[prev, proposals] * g_prev[proposals]
-        t_cur = model.transition[prev, current] * g_prev[current]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(t_cur > 0.0, t_prop / np.where(t_cur > 0.0, t_cur, 1.0), np.inf)
-        accept = rng.random(paths.shape[0]) < ratio
-        current[accept] = proposals[accept]
-        paths = paths.copy()
-        paths[:, -1] = current
-        cum = np.cumsum(model.transition, axis=1)
-        new = _rows_categorical(cum[current], rng)
-        log_inc = np.log(g[new])
-    else:
-        raise ValueError(f"unknown proposal kind {kind!r}")
-    return np.hstack([paths, new[:, None]]), log_inc
-
-
-def _mutate_lgssm(model, kind, k, paths, rng):
-    y = model.observations[k - 1]
-    sx2, tau2 = model.state_std**2, model.obs_std**2
-    last = paths[:, -1]
-    m = paths.shape[0]
-    if kind == PRIOR:
-        new = model.ar_coeff * last + model.state_std * rng.standard_normal(m)
-        log_inc = -0.5 * (y - new) ** 2 / tau2 - 0.5 * math.log(2.0 * math.pi * tau2)
-    elif kind == OPTIMAL:
-        post_var = sx2 * tau2 / (sx2 + tau2)
-        post_mean = post_var * (model.ar_coeff * last / sx2 + y / tau2)
-        new = post_mean + math.sqrt(post_var) * rng.standard_normal(m)
-        pred_var = sx2 + tau2
-        log_inc = -0.5 * (y - model.ar_coeff * last) ** 2 / pred_var - 0.5 * math.log(
-            2.0 * math.pi * pred_var
-        )
-    else:
-        raise ValueError("the path move is only available for discrete models")
-    return np.hstack([paths, new[:, None]]), log_inc
-
-
 def smc_step(
     trace: SmcTrace,
     model: DiscreteHMM | LinearGaussianSSM,
@@ -693,10 +625,7 @@ def smc_step(
         raise ValueError("no observations left: the trace already reached the horizon")
     rec = trace.current
     weights = rec.weights
-    if isinstance(model, DiscreteHMM):
-        paths, log_inc = _mutate_discrete(model, proposal_kind, k, rec.paths, rng)
-    else:
-        paths, log_inc = _mutate_lgssm(model, proposal_kind, k, rec.paths, rng)
+    paths, log_inc = step_kernel(model, k, proposal_kind).mutate(rec.paths, rng)
     shift = float(np.max(log_inc))
     if not np.isfinite(shift):
         raise ValueError("weight collapse: non-finite incremental weights")

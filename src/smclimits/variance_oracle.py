@@ -28,71 +28,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .state_space import (
-    DEFAULT_PATH_CAP,
-    OPTIMAL,
-    PRIOR,
-    RESAMPLE_MOVE,
-    DiscreteHMM,
-    move_matrices,
-)
+from .state_space import DEFAULT_PATH_CAP, DiscreteHMM, StepKernel, step_kernel
 
 BOUNDARY_MARGIN = 0.1
-
-
-@dataclass(frozen=True)
-class _StepOps:
-    """Tensor form of one mutation step's proposal kernel and weight.
-
-    ``apply_rw(h, p)`` maps a function h over length-k paths to the
-    function x -> R(x, W^p h) over length-(k-1) paths; ``push_w2`` is the
-    adjoint carrying a measure forward with density W^2.
-    """
-
-    apply_rw: Callable[[np.ndarray, int], np.ndarray]
-    push_w2: Callable[[np.ndarray], np.ndarray]
-
-
-def _step_ops(model: DiscreteHMM, k: int, proposal_kind: str) -> _StepOps:
-    q = model.transition
-    g = model.likelihoods[k - 1]
-    if proposal_kind == PRIOR or (proposal_kind == RESAMPLE_MOVE and k < 3):
-
-        def apply_rw(h, p):
-            return np.einsum("...ij,ij->...i", h, q * (g**p)[None, :])
-
-        def push_w2(meas):
-            return np.einsum("...i,ij->...ij", meas, q * (g**2)[None, :])
-
-    elif proposal_kind == OPTIMAL:
-        tilted = q * g[None, :]
-        norms = np.sum(tilted, axis=1)
-        if np.any(norms <= 0.0):
-            raise ValueError("optimal kernel undefined: a transition row has zero tilted mass")
-        r_opt = tilted / norms[:, None]
-
-        def apply_rw(h, p):
-            return np.einsum("...ij,ij->...i", h, r_opt * (norms**p)[:, None])
-
-        def push_w2(meas):
-            return np.einsum("...i,ij->...ij", meas, r_opt * (norms**2)[:, None])
-
-    elif proposal_kind == RESAMPLE_MOVE:
-        mats = move_matrices(model, k, n_moves=1)
-
-        def apply_rw(h, p):
-            return np.einsum("ecm,mj,...emj->...ec", mats, q * (g**p)[None, :], h)
-
-        def push_w2(meas):
-            return np.einsum("...ec,ecm,mj->...emj", meas, mats, q * (g**2)[None, :])
-
-    else:
-        raise ValueError(f"unknown proposal kind {proposal_kind!r}")
-    return _StepOps(apply_rw=apply_rw, push_w2=push_w2)
 
 
 @dataclass(frozen=True)
@@ -101,8 +43,8 @@ class _StepState:
     gamma: np.ndarray         # second-moment measure, same indexing
     epsilon: int | None       # resampling indicator; None at step 1
     normalizer: float         # previous law carried through the target kernel
-    ess_limit: float | None   # limiting squared CV of the mutated weights
-    ops: _StepOps | None      # kernel operators of the step's mutation
+    cv2_limit: float | None   # limiting squared CV of the mutated weights
+    kernel: StepKernel | None  # the step's mutation kernel
 
 
 @dataclass(frozen=True)
@@ -168,8 +110,8 @@ class VarianceRecursionState:
         # function: the CLT statement fixes mean-zero f up front, and only
         # the centered form annihilates constants.
         centered = f - mean
-        second = entry.ops.apply_rw(centered * centered, 2)
-        first = entry.ops.apply_rw(centered, 1)  # also the carried L(f - mean)
+        second = entry.kernel.apply_rw(centered * centered, 2)
+        first = entry.kernel.apply_rw(centered, 1)  # also the carried L(f - mean)
         mutation_term = float(np.sum(prev.gamma * (second - first * first)))
         carried = self._sigma2(j - 1, first)
         base = (carried + mutation_term) / entry.normalizer**2
@@ -182,7 +124,7 @@ def recursion_init(model: DiscreteHMM, cap: int = DEFAULT_PATH_CAP) -> VarianceR
         raise ValueError("path space too large")
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
-    step = _StepState(psi=psi, gamma=psi, epsilon=None, normalizer=1.0, ess_limit=None, ops=None)
+    step = _StepState(psi=psi, gamma=psi, epsilon=None, normalizer=1.0, cv2_limit=None, kernel=None)
     return VarianceRecursionState(model, "", (step,))
 
 
@@ -194,17 +136,16 @@ def mutated_cv2_limit(
     This is what the adaptive trigger's empirical squared CV converges to,
     and the quantity the resampling indicator compares with the threshold.
     """
-    k = state.k + 1
-    ops = _step_ops(model, k, proposal_kind)
-    ones = np.ones((model.n_states,) * k)
-    normalizer = float(np.sum(state.psi * ops.apply_rw(ones, 1)))
-    gamma_total = float(np.sum(state.gamma * ops.apply_rw(ones, 2))) / normalizer**2
-    return gamma_total - 1.0
+    kernel = step_kernel(model, state.k + 1, proposal_kind)
+    return _mutation_totals(state, kernel)[1] - 1.0
 
 
-def ess_limit(state: VarianceRecursionState, model: DiscreteHMM, proposal_kind: str) -> float:
-    """Alias of :func:`mutated_cv2_limit`; always nonnegative."""
-    return mutated_cv2_limit(state, model, proposal_kind)
+def _mutation_totals(state: VarianceRecursionState, kernel: StepKernel) -> tuple[float, float]:
+    """The normalizer psi R(W) and the mutated second moment gamma R(W^2) / normalizer^2."""
+    ones = np.ones((kernel.model.n_states,) * kernel.k)
+    normalizer = float(np.sum(state.psi * kernel.apply_rw(ones, 1)))
+    gamma_total = float(np.sum(state.gamma * kernel.apply_rw(ones, 2))) / normalizer**2
+    return normalizer, gamma_total
 
 
 def recursion_step(
@@ -226,10 +167,8 @@ def recursion_step(
         raise ValueError("no observations left: the recursion already reached the horizon")
     if model.n_states**k > cap:
         raise ValueError("path space too large")
-    ops = _step_ops(model, k, proposal_kind)
-    ones = np.ones((model.n_states,) * k)
-    normalizer = float(np.sum(state.psi * ops.apply_rw(ones, 1)))
-    gamma_total = float(np.sum(state.gamma * ops.apply_rw(ones, 2))) / normalizer**2
+    kernel = step_kernel(model, k, proposal_kind)
+    normalizer, gamma_total = _mutation_totals(state, kernel)
     epsilon = 1 if gamma_total >= 1.0 + kappa2 else 0
     if math.isfinite(kappa2):
         proximity = abs(gamma_total - (1.0 + kappa2)) / (1.0 + kappa2)
@@ -240,20 +179,20 @@ def recursion_step(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    kernel = model.transition * model.likelihoods[k - 1][None, :]
-    psi = np.einsum("...i,ij->...ij", state.psi, kernel)
+    target = model.transition * model.likelihoods[k - 1][None, :]
+    psi = np.einsum("...i,ij->...ij", state.psi, target)
     psi = psi / np.sum(psi)
     if epsilon:
         gamma = psi
     else:
-        gamma = ops.push_w2(state.gamma) / normalizer**2
+        gamma = kernel.push_w2(state.gamma) / normalizer**2
     step = _StepState(
         psi=psi,
         gamma=gamma,
         epsilon=epsilon,
         normalizer=normalizer,
-        ess_limit=gamma_total - 1.0,
-        ops=ops,
+        cv2_limit=gamma_total - 1.0,
+        kernel=kernel,
     )
     return VarianceRecursionState(model, proposal_kind, state.steps + (step,))
 
@@ -296,7 +235,7 @@ def variance_table(
             "k": s.k,
             "epsilon": last.epsilon,
             "normalizer": last.normalizer,
-            "cv2_limit": last.ess_limit,
+            "cv2_limit": last.cv2_limit,
             "gamma_total": float(np.sum(s.gamma)),
         }
         for name, table in functions:

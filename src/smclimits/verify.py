@@ -28,6 +28,7 @@ from .resampling import (
     RESIDUAL,
     conditional_mean,
     conditional_variance,
+    point_values,
     residual_limit_weight,
     residual_regularity_check,
 )
@@ -210,7 +211,7 @@ def limit_weight_suite(
             raise ValueError("atoms must keep the limiting copy counts non-integer")
         m_out = int(round(ell * m))
         limit_w = np.array(
-            [residual_limit_weight(x) for x in _copy_counts(target, ell, phi)]
+            [residual_limit_weight(x) for x in point_values(target, ell, phi)]
         )
         c_star = float(np.sum(probs * limit_w * values)) / float(np.sum(probs * limit_w))
         predicted = float(np.sum(probs * limit_w * (values - c_star) ** 2))
@@ -236,17 +237,3 @@ def limit_weight_suite(
         "results": results,
     }
 
-
-def _copy_counts(dist: DiscreteDistribution, ell: float, phi) -> np.ndarray:
-    inv_phi = dist.expect(lambda v: 1.0 / phi(v))
-    return np.array([ell * inv_phi * phi(v) for v in dist.values])
-
-
-def run_resampling_verification(seed: int = 0, tolerance: float = 1e-12) -> dict:
-    """The full resampling verification: all three suites, one report."""
-    suites = [
-        unbiasedness_suite(seed=seed, tolerance=tolerance),
-        variance_ordering_suite(seed=seed + 1),
-        limit_weight_suite(seed=seed + 2),
-    ]
-    return {"passed": all(s["passed"] for s in suites), "suites": suites}

@@ -65,6 +65,12 @@ class TestConfigValidation:
         )
         assert code == 2
 
+    def test_negative_kappa2_rejected(self, tmp_path, capsys):
+        cfg = default_config()
+        cfg["policy"]["kappa2"] = -0.5
+        assert main(["verify-resampling", "--config", _write(tmp_path, cfg)]) == 2
+        assert "kappa2" in capsys.readouterr().err
+
     def test_kappa2_inf_accepted(self):
         cfg = default_config()
         cfg["policy"]["trigger"] = "cv"
@@ -78,6 +84,34 @@ class TestConfigValidation:
         cfg["model"]["observations"] = [[1.0, 2.0]] * 4
         experiment = build_experiment(cfg)
         assert experiment.model.likelihoods.shape == (4, 2)
+
+
+class TestOracleCompatibility:
+    """The oracle commands accept only policies the variance recursion models."""
+
+    def _ell_half(self, tmp_path, command: str, trigger: str = "cv") -> int:
+        cfg = default_config()
+        cfg["policy"].update({"ell": 0.5, "trigger": trigger})
+        out = tmp_path / "out"
+        code = main([command, "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
+        assert out.exists() == (code == 0)
+        return code
+
+    def test_verify_clt_rejects_ell_other_than_one(self, tmp_path):
+        assert self._ell_half(tmp_path, "verify-clt") == 2
+
+    def test_variance_table_rejects_ell_other_than_one(self, tmp_path):
+        assert self._ell_half(tmp_path, "variance-table") == 2
+        # without selection the output size never matters
+        assert self._ell_half(tmp_path, "variance-table", trigger="never") == 0
+
+
+class TestVerifyLln:
+    def test_builtin_grid_rejected_before_any_replicate(self, tmp_path):
+        # the built-in config has one particle count: no rate can be fitted
+        out = tmp_path / "out"
+        assert main(["verify-lln", "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestVerifyResampling:

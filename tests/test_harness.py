@@ -22,7 +22,7 @@ from smclimits import (
     run_recursion,
     summarize_counterexample,
 )
-from smclimits.harness import aggregate_rows, kolmogorov_sf
+from smclimits.harness import aggregate_rows, kolmogorov_sf, require_lln_grid
 
 
 def _normal_quantile(p):
@@ -218,6 +218,12 @@ class TestLlnCheck:
         report = run_replicates(tiny_config)
         with pytest.raises(ValueError, match="4 particle counts"):
             lln_check(report)
+
+    def test_grid_rule(self):
+        require_lln_grid((256, 16, 64, 32))
+        for counts in ((16, 32, 64), (16, 32, 64, 128)):
+            with pytest.raises(ValueError, match="factor of 16"):
+                require_lln_grid(counts)
 
     def test_constant_wrong_estimates_fail(self, bench_model):
         # negative control: overwrite every estimate with a fixed wrong value

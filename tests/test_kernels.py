@@ -9,14 +9,10 @@ from smclimits import (
     MutationKernelPair,
     WeightedSample,
     equally_weighted,
-    is_reweighting_as_mutation,
     mutate,
-    optimal_proposal,
-    prior_proposal,
-    resample_move_proposal,
     reweighting_pair,
+    step_kernel,
 )
-from smclimits.state_space import move_matrices
 
 
 class TestReweightingPair:
@@ -33,9 +29,9 @@ class TestReweightingPair:
             assert pair.propose(rng, x) == x
 
     def test_flag(self):
-        assert is_reweighting_as_mutation(reweighting_pair(lambda x: 1.0))
+        assert reweighting_pair(lambda x: 1.0).is_reweighting
         other = MutationKernelPair(propose=lambda r, x: x, weight=lambda x, y: 1.0)
-        assert not is_reweighting_as_mutation(other)
+        assert not other.is_reweighting
 
     def test_negative_density_rejected(self, rng):
         pair = reweighting_pair(lambda x: -1.0)
@@ -85,7 +81,7 @@ def _independent_target_expectation(model, k, kind, x, f):
     n = model.n_states
     if kind in ("prior", "optimal"):
         return sum(q[x[-1], j] * g[j] * f(x + (j,)) for j in range(n))
-    mats = move_matrices(model, k, 1)
+    mats = step_kernel(model, k, "resample_move").moves
     total = 0.0
     for m in range(n):
         for j in range(n):
@@ -96,13 +92,8 @@ def _independent_target_expectation(model, k, kind, x, f):
 class TestEnumerableSupports:
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     def test_support_probabilities_sum_to_one(self, bench_model, kind):
-        make = {
-            "prior": prior_proposal,
-            "optimal": optimal_proposal,
-            "resample_move": resample_move_proposal,
-        }[kind]
         for k in (3, 4):
-            pair = make(bench_model, k)
+            pair = step_kernel(bench_model, k, kind).pair()
             for x in [(0, 1), (1, 0), (1, 1)]:
                 x = x + (0,) * (k - 3)
                 total = sum(p for _, p in pair.support(x))
@@ -110,13 +101,8 @@ class TestEnumerableSupports:
 
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     def test_unbiasedness_identity_against_independent_target(self, bench_model, kind):
-        make = {
-            "prior": prior_proposal,
-            "optimal": optimal_proposal,
-            "resample_move": resample_move_proposal,
-        }[kind]
         k = 3
-        pair = make(bench_model, k)
+        pair = step_kernel(bench_model, k, kind).pair()
         functions = [
             lambda y: 1.0,
             lambda y: float(y[-1] == 0),

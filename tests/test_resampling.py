@@ -14,12 +14,11 @@ from smclimits import (
     conditional_mean,
     conditional_variance,
     equally_weighted,
-    multinomial_resample,
+    resample,
     residual_counts,
     residual_deterministic_limit,
     residual_limit_weight,
     residual_regularity_check,
-    residual_resample,
 )
 from smclimits.enumeration import enumerated_moments
 
@@ -31,14 +30,14 @@ def _coord(p):
 class TestMultinomial:
     def test_single_particle_forced(self, rng):
         ws = WeightedSample([7.0], [2.0])
-        out = multinomial_resample(ws, 5, rng)
+        out = resample(ws, MULTINOMIAL, 5, rng)
         assert out.particles == (7.0,) * 5
         assert np.array_equal(out.weights, np.ones(5))
 
     def test_zero_weight_excluded(self):
         ws = WeightedSample([1.0, 2.0], [1.0, 0.0])
         for seed in range(50):
-            out = multinomial_resample(ws, 8, np.random.default_rng(seed))
+            out = resample(ws, MULTINOMIAL, 8, np.random.default_rng(seed))
             assert set(out.particles) == {1.0}
 
     def test_enumerated_mean_matches_estimate(self):
@@ -48,7 +47,7 @@ class TestMultinomial:
 
     def test_output_unit_weights(self, rng):
         ws = WeightedSample([0.0, 1.0], [0.4, 0.6])
-        out = multinomial_resample(ws, 7, rng)
+        out = resample(ws, MULTINOMIAL, 7, rng)
         assert np.array_equal(out.weights, np.ones(7))
 
 
@@ -79,7 +78,7 @@ class TestResidualCounts:
 class TestResidualResample:
     def test_fully_deterministic_case(self, rng):
         ws = WeightedSample([0, 1, 2], [0.5, 0.3, 0.2])
-        out = residual_resample(ws, 10, rng)
+        out = resample(ws, RESIDUAL, 10, rng)
         assert out.particles == (0,) * 5 + (1,) * 3 + (2,) * 2
 
     def test_enumerated_mean_matches_estimate(self):
@@ -91,14 +90,14 @@ class TestResidualResample:
         ws = WeightedSample([0, 1, 2], [0.47, 0.34, 0.19])
         floors, _, _ = residual_counts(ws, 5)
         for seed in range(1000):
-            out = residual_resample(ws, 5, np.random.default_rng(seed))
+            out = resample(ws, RESIDUAL, 5, np.random.default_rng(seed))
             counts = [out.particles.count(i) for i in range(3)]
             assert all(c >= f for c, f in zip(counts, floors))
 
     def test_output_size_and_weights(self, rng):
         ws = WeightedSample([0, 1], [0.3, 0.7])
         for m_out in (1, 2, 5, 9):
-            out = residual_resample(ws, m_out, rng)
+            out = resample(ws, RESIDUAL, m_out, rng)
             assert out.size == m_out
             assert np.array_equal(out.weights, np.ones(m_out))
 
@@ -170,11 +169,7 @@ class TestConditionalMoments:
                 rng = np.random.default_rng(np.random.SeedSequence([99, i]))
                 draws = np.empty(reps)
                 for r in range(reps):
-                    out = (
-                        multinomial_resample(ws, m_out, rng)
-                        if scheme == MULTINOMIAL
-                        else residual_resample(ws, m_out, rng)
-                    )
+                    out = resample(ws, scheme, m_out, rng)
                     draws[r] = np.mean([_coord(p) for p in out.particles])
                 mc_var = float(np.var(draws, ddof=1))
                 # the variance of a sample variance is roughly 2 var^2 / n
@@ -211,7 +206,7 @@ class TestAllocationStress:
         floors, _, m_bar = residual_counts(ws, 7)
         expected_head = tuple(np.repeat(np.arange(3), floors))
         for seed in range(25):
-            out = residual_resample(ws, 7, np.random.default_rng(seed))
+            out = resample(ws, RESIDUAL, 7, np.random.default_rng(seed))
             assert out.particles[:m_bar] == expected_head
 
 

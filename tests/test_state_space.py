@@ -1,10 +1,13 @@
 """Tests for state-space models, proposal kernels, smoothing oracles, the filter."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smclimits import (
     DiscreteHMM,
@@ -14,13 +17,11 @@ from smclimits import (
     exact_joint_smoothing,
     forward_backward_marginals,
     mutate,
-    optimal_proposal,
-    prior_proposal,
-    resample_move_proposal,
     smc_run,
     smc_step,
+    step_kernel,
 )
-from smclimits.state_space import as_rng, move_matrices
+from smclimits.state_space import PROPOSAL_KINDS, as_rng
 from smclimits.weighted_sample import cv2_of_weights
 
 
@@ -53,7 +54,7 @@ class TestModelValidation:
 
 class TestPriorProposal:
     def test_support_matches_transition_rows(self, small_model):
-        pair = prior_proposal(small_model, 2)
+        pair = step_kernel(small_model, 2, "prior").pair()
         for x in [(0,), (1,)]:
             support = dict(pair.support(x))
             for j in range(2):
@@ -65,7 +66,7 @@ class TestPriorProposal:
         flat = DiscreteHMM(
             [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [0.7, 0.7]]
         )
-        pair = prior_proposal(flat, 2)
+        pair = step_kernel(flat, 2, "prior").pair()
         rng = as_rng(0)
         out = mutate(equally_weighted([(0,), (1,), (0,)]), pair, 1, rng)
         assert np.allclose(out.weights, 0.7)
@@ -74,7 +75,7 @@ class TestPriorProposal:
 
 class TestOptimalProposal:
     def test_weight_constant_over_offspring(self, small_model):
-        pair = optimal_proposal(small_model, 2)
+        pair = step_kernel(small_model, 2, "optimal").pair()
         for x in [(0,), (1,)]:
             weights = {pair.weight(x, y) for y, _ in pair.support(x)}
             assert len(weights) == 1
@@ -83,7 +84,7 @@ class TestOptimalProposal:
         model = DiscreteHMM(
             [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [2.0, 0.5]]
         )
-        pair = optimal_proposal(model, 2)
+        pair = step_kernel(model, 2, "optimal").pair()
         x = (0,)
         assert pair.weight(x, x + (0,)) == pytest.approx(1.85, abs=1e-15)
         support = dict(pair.support(x))
@@ -94,8 +95,8 @@ class TestOptimalProposal:
         flat = DiscreteHMM(
             [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [1.0, 1.0]]
         )
-        opt = optimal_proposal(flat, 2)
-        pri = prior_proposal(flat, 2)
+        opt = step_kernel(flat, 2, "optimal").pair()
+        pri = step_kernel(flat, 2, "prior").pair()
         for x in [(0,), (1,)]:
             assert dict(opt.support(x)) == pytest.approx(dict(pri.support(x)), abs=1e-12)
             assert opt.weight(x, x + (0,)) == pytest.approx(1.0, abs=1e-15)
@@ -108,11 +109,11 @@ class TestResampleMoveProposal:
         model = DiscreteHMM(
             [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
         )
-        mats = move_matrices(model, 3)
+        mats = step_kernel(model, 3, "resample_move").moves
         assert np.allclose(mats, 0.5, atol=1e-15)
 
     def test_move_matrix_leaves_target_invariant(self, small_model):
-        mats = move_matrices(small_model, 3)
+        mats = step_kernel(small_model, 3, "resample_move").moves
         q = small_model.transition
         g = small_model.likelihoods[1]
         for e in range(2):
@@ -120,24 +121,88 @@ class TestResampleMoveProposal:
             target = target / target.sum()
             assert np.allclose(target @ mats[e], target, atol=1e-12)
 
-    def test_zero_moves_reduces_to_prior(self, small_model):
-        pair = resample_move_proposal(small_model, 3, n_moves=0)
-        pri = prior_proposal(small_model, 3)
-        for x in [(0, 1), (1, 0)]:
-            assert dict(pair.support(x)) == pytest.approx(dict(pri.support(x)), abs=1e-15)
-
     def test_short_path_degenerates_with_flag(self, small_model):
-        pair = resample_move_proposal(small_model, 2)
+        pair = step_kernel(small_model, 2, "resample_move").pair()
         assert pair.degenerate_move
-        pri = prior_proposal(small_model, 2)
+        pri = step_kernel(small_model, 2, "prior").pair()
         for x in [(0,), (1,)]:
             assert dict(pair.support(x)) == pytest.approx(dict(pri.support(x)), abs=1e-15)
 
-    def test_moves_compose(self, small_model):
-        one = move_matrices(small_model, 3, n_moves=1)
-        three = move_matrices(small_model, 3, n_moves=3)
-        for e in range(2):
-            assert np.allclose(np.linalg.matrix_power(one[e], 3), three[e], atol=1e-14)
+
+def _random_hmm(seed: int, n: int) -> DiscreteHMM:
+    """A random n-state model over 4 steps; some transitions are impossible."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    q = rng.dirichlet(np.full(n, 0.5), size=n)
+    zero = rng.random((n, n)) < 0.25
+    zero[np.arange(n), rng.integers(0, n, size=n)] = False
+    q[zero] = 0.0
+    q = q / q.sum(axis=1, keepdims=True)
+    return DiscreteHMM(rng.dirichlet(np.ones(n)), q, rng.uniform(0.3, 3.0, size=(4, n)))
+
+
+class TestStepKernel:
+    """The pair, the sampler and the oracle operators read one kernel."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model_seed=st.integers(0, 2**32 - 1),
+        draw_seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3]),
+        kind=st.sampled_from(PROPOSAL_KINDS),
+        k=st.sampled_from([2, 3, 4]),
+    )
+    def test_pair_sampler_and_oracle_agree(self, model_seed, draw_seed, n, kind, k):
+        model = _random_hmm(model_seed, n)
+        kernel = step_kernel(model, k, kind)
+        pair = kernel.pair()
+        h = np.random.default_rng(draw_seed).normal(size=(n,) * k)
+        rw = kernel.apply_rw(h, 1)
+        for x in itertools.product(range(n), repeat=k - 1):
+            assert sum(p for _, p in pair.support(x)) == pytest.approx(1.0, abs=1e-12)
+            assert pair.target_expectation(x, lambda y: h[y]) == pytest.approx(
+                rw[x], abs=1e-12
+            )
+            drawn = pair.propose(np.random.default_rng(draw_seed), x)
+            paths, _ = kernel.mutate(np.array([x]), np.random.default_rng(draw_seed))
+            assert drawn == tuple(paths[0].tolist())
+
+    def test_moves_built_on_first_read(self, small_model):
+        kernel = step_kernel(small_model, 3, "resample_move")
+        kernel.mutate(np.array([[0, 1], [1, 1]]), as_rng(0))
+        assert "moves" not in vars(kernel)
+        assert kernel.moves is kernel.moves
+        assert step_kernel(small_model, 2, "resample_move").moves is None
+
+
+# sha256 of current.paths and current.weights bytes after smc_run at m=64,
+# seed 21, cv trigger at kappa2 = 0.3: any change to a kernel's draw order
+# or arithmetic shows here
+HMM_DRAWS = {
+    "prior": "335e4e5f9a9b9ff64745477f938d1cbd8184d745e5f99495b94dd35f3fcfff06",
+    "optimal": "2561ee320795c35154967e912dcc8cbdbb38c71aeeadb15e94f1210529a68a86",
+    "resample_move": "8302d7532707ffa4fd28048e6d6697b3ffdd7052808affaf87e8b112d1a85486",
+}
+LG_DRAWS = {
+    "prior": "7cf7798c94ee6a5ed3c86bebc0f78687583c24bccf57ebb09cc4a2a7b215ae55",
+    "optimal": "87288b22e72e8e67e0365b3286b75e84a9abd4ba5c2ca31d1e42a5aff5ecfa59",
+}
+
+
+def _draw_digest(model, kind: str) -> str:
+    policy = ResamplingPolicy(trigger="cv", kappa2=0.3)
+    rec = smc_run(model, kind, policy, 64, 21).current
+    return hashlib.sha256(rec.paths.tobytes() + rec.weights.tobytes()).hexdigest()
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("kind", sorted(HMM_DRAWS))
+    def test_discrete(self, small_model, kind):
+        assert _draw_digest(small_model, kind) == HMM_DRAWS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(LG_DRAWS))
+    def test_linear_gaussian(self, kind):
+        model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6])
+        assert _draw_digest(model, kind) == LG_DRAWS[kind]
 
 
 class TestExactSmoothing:
@@ -325,13 +390,13 @@ class TestLinearGaussian:
         first = equally_weighted(
             [(float(x),) for x in post_mean + math.sqrt(post_var) * rng.standard_normal(m)]
         )
-        pair = (prior_proposal if kind == "prior" else optimal_proposal)(model, 2)
+        pair = step_kernel(model, 2, kind).pair()
         out = mutate(first, pair, 1, rng)
         est = out.estimate(lambda p: p[-1])
         assert est == pytest.approx(means[1], abs=5 * math.sqrt(variances[1] / m) + 0.01)
 
     def test_optimal_pair_weight_depends_on_parent_only(self):
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2])
-        pair = optimal_proposal(model, 2)
+        pair = step_kernel(model, 2, "optimal").pair()
         parent = (0.3,)
         assert pair.weight(parent, parent + (5.0,)) == pair.weight(parent, parent + (-5.0,))

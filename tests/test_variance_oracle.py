@@ -147,7 +147,7 @@ class TestRecursionInvariants:
         state = run_recursion(bench_model, "prior", 0.0, horizon=5)
         # the trigger statistic genuinely exceeds 1 at every step here
         for s in state.steps[1:]:
-            assert s.ess_limit > 0.0
+            assert s.cv2_limit > 0.0
         assert state.epsilons == (1, 1, 1, 1)
 
 
