@@ -51,7 +51,6 @@ from .variance_oracle import (
     recursion_init,
     recursion_step,
     run_recursion,
-    variance_table,
 )
 from .harness import (
     ExperimentConfig,
@@ -104,7 +103,6 @@ __all__ = [
     "recursion_init",
     "recursion_step",
     "run_recursion",
-    "variance_table",
     "ExperimentConfig",
     "ExperimentReport",
     "TerminalFunction",

@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .harness import (
     counterexample_run,
     lln_check,
     policy_from_dict,
+    require_clt_replicates,
     require_lln_grid,
     run_replicates,
     summarize_counterexample,
@@ -44,8 +46,9 @@ from .state_space import (
     DiscreteHMM,
     LinearGaussianSSM,
     random_likelihood_table,
+    require_path_space,
 )
-from .variance_oracle import run_recursion, variance_table
+from .variance_oracle import run_recursion
 from .verify import (
     limit_weight_suite,
     unbiasedness_suite,
@@ -96,10 +99,16 @@ def _require_keys(section: dict, path: str, required: tuple, optional: tuple = (
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{path}: expected a positive integer")
+def _integer(value, path: str, low: int = 0) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{path}: expected an integer >= {low}")
     return value
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number")
+    return float(value)
 
 
 def load_config(path: str | None) -> dict:
@@ -124,14 +133,18 @@ def _parse_function(entry: dict, index: int) -> TerminalFunction:
     kind = entry["kind"]
     name = entry.get("name", f"f{index}")
     if kind == "indicator":
-        return TerminalFunction(name=name, kind=kind, state=int(entry.get("state", 0)))
+        state = _integer(entry.get("state", 0), f"{path}.state")
+        return TerminalFunction(name=name, kind=kind, state=state)
     if kind == "affine":
         return TerminalFunction(
-            name=name, kind=kind, a=float(entry.get("a", 1.0)), b=float(entry.get("b", 0.0))
+            name=name,
+            kind=kind,
+            a=_number(entry.get("a", 1.0), f"{path}.a"),
+            b=_number(entry.get("b", 0.0), f"{path}.b"),
         )
     if kind == "table":
-        if "values" not in entry:
-            raise ConfigError(f"{path}: table functions need 'values'")
+        if not isinstance(entry.get("values"), list):
+            raise ConfigError(f"{path}: table functions need a 'values' list")
         return TerminalFunction(name=name, kind=kind, values=tuple(entry["values"]))
     raise ConfigError(f"{path}: unknown function kind {kind!r}")
 
@@ -143,15 +156,13 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
     _require_keys(
         exp, "experiment", ("horizon", "functions", "m_list", "replicates", "seed")
     )
-    horizon = _positive_int(exp["horizon"], "experiment.horizon")
-    replicates = _positive_int(exp["replicates"], "experiment.replicates")
-    seed = exp["seed"] if seed_override is None else seed_override
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("experiment.seed: expected a nonnegative integer")
+    horizon = _integer(exp["horizon"], "experiment.horizon", 1)
+    replicates = _integer(exp["replicates"], "experiment.replicates", 1)
+    seed = _integer(exp["seed"] if seed_override is None else seed_override, "experiment.seed")
     m_list = exp["m_list"]
     if not isinstance(m_list, list) or not m_list:
         raise ConfigError("experiment.m_list: expected a nonempty list")
-    counts = tuple(_positive_int(m, "experiment.m_list") for m in m_list)
+    counts = tuple(_integer(m, "experiment.m_list", 1) for m in m_list)
     if not isinstance(exp["functions"], list) or not exp["functions"]:
         raise ConfigError("experiment.functions: expected a nonempty list")
     functions = tuple(_parse_function(f, i) for i, f in enumerate(exp["functions"]))
@@ -195,6 +206,7 @@ def build_model(section: dict, horizon: int):
     if has_obs == has_seed:
         raise ConfigError("model: give exactly one of 'observations' or 'obs_seed'")
     params = section["parameters"]
+    obs_seed = _integer(section["obs_seed"], "model.obs_seed") if has_seed else None
     if section["type"] == "discrete_hmm":
         _require_keys(params, "model.parameters", ("initial", "transition"))
         initial = np.array(params["initial"], dtype=float)
@@ -202,9 +214,9 @@ def build_model(section: dict, horizon: int):
             table = random_likelihood_table(
                 horizon,
                 initial.size,
-                int(section["obs_seed"]),
-                low=float(section.get("obs_low", 0.3)),
-                high=float(section.get("obs_high", 3.0)),
+                obs_seed,
+                low=_number(section.get("obs_low", 0.3), "model.obs_low"),
+                high=_number(section.get("obs_high", 3.0), "model.obs_high"),
             )
         else:
             table = np.array(section["observations"], dtype=float)
@@ -223,7 +235,7 @@ def build_model(section: dict, horizon: int):
                 probe = LinearGaussianSSM(
                     params["ar_coeff"], params["state_std"], params["obs_std"], [0.0]
                 )
-                obs = probe.simulate_observations(horizon, int(section["obs_seed"]))
+                obs = probe.simulate_observations(horizon, obs_seed)
             return LinearGaussianSSM(
                 params["ar_coeff"], params["state_std"], params["obs_std"], obs
             )
@@ -232,21 +244,27 @@ def build_model(section: dict, horizon: int):
     raise ConfigError(f"model.type: unknown type {section['type']!r}")
 
 
-def resolved_kappa2(policy) -> float:
-    """The threshold the exact recursion should mirror for this policy."""
-    if policy.trigger == "always":
-        return 0.0
+def _require(path: str, check, *args) -> None:
+    """Run a harness precondition; its ValueError becomes a ConfigError at ``path``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _oracle_kappa2(experiment: ExperimentConfig) -> float:
+    """The threshold the exact variance recursion mirrors for this experiment.
+
+    Raises ConfigError unless the recursion models the experiment: a
+    discrete model within the path cap and, when selection can fire,
+    multinomial selection at ell = 1.
+    """
+    if not isinstance(experiment.model, DiscreteHMM):
+        raise ConfigError("the exact variance recursion needs a discrete model")
+    _require("experiment.horizon", require_path_space, experiment.model, experiment.horizon)
+    policy = experiment.policy
     if policy.trigger == "never":
         return math.inf
-    return policy.kappa2
-
-
-def _require_oracle_compatible(policy) -> None:
-    # the variance recursion models multinomial selection at ell = 1 only;
-    # any other selection that can actually fire would be compared against
-    # the wrong oracle
-    if policy.trigger == "never":
-        return
     if policy.scheme != "multinomial":
         raise ConfigError(
             "the exact variance recursion covers multinomial selection only; "
@@ -257,14 +275,15 @@ def _require_oracle_compatible(policy) -> None:
             "the exact variance recursion assumes an output size equal to the "
             "input size; use ell 1 (or trigger 'never') here"
         )
+    return 0.0 if policy.trigger == "always" else policy.kappa2
 
 
 def _sanitize(obj):
-    """A JSON-ready copy: numpy values become Python ones, infinities "inf"."""
+    """A JSON-ready copy: numpy values become Python ones, keys strings, infinities "inf"."""
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float) and math.isinf(obj):
@@ -286,17 +305,27 @@ def _write_lines(out_dir: Path, name: str, lines: list[str]) -> None:
     log.info("wrote %s", path)
 
 
-def _tolerances(cfg: dict) -> dict:
+@dataclass(frozen=True)
+class Outcome:
+    """What a command reports; the runner adds provenance and writes it."""
+
+    summary_name: str
+    summary: dict
+    stdout: list[str]
+    passed: bool = True
+    csv_name: str | None = None
+    csv_lines: list[str] = field(default_factory=list)
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def cmd_verify_resampling(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     tol = cfg.get("tolerances", {})
     _require_keys(
         tol, "tolerances", (), ("enumeration", "variance_slack", "limit_weight_rel")
     )
-    return tol
-
-
-def cmd_verify_resampling(args, cfg: dict) -> int:
-    experiment = build_experiment(cfg, args.seed)
-    tol = _tolerances(cfg)
     suites = [
         unbiasedness_suite(
             seed=experiment.seed, tolerance=float(tol.get("enumeration", 1e-12))
@@ -310,65 +339,44 @@ def cmd_verify_resampling(args, cfg: dict) -> int:
         ),
     ]
     passed = all(s["passed"] for s in suites)
-    report = {
-        "command": "verify-resampling",
-        "passed": passed,
-        "suites": suites,
-        "config": experiment.to_dict(),
-        "config_hash": experiment.config_hash(),
-        "version": __version__,
-    }
-    _write_json(Path(args.out_dir), "resampling_report.json", report)
-    for s in suites:
-        print(f"{'PASS' if s['passed'] else 'FAIL'} {s['suite']}")
-    return 0 if passed else 1
+    return Outcome(
+        "resampling_report.json",
+        {"passed": passed, "suites": suites},
+        [f"{_verdict(s['passed'])} {s['suite']}" for s in suites],
+        passed,
+    )
 
 
-def cmd_verify_lln(args, cfg: dict) -> int:
-    experiment = build_experiment(cfg, args.seed)
-    try:
-        require_lln_grid(experiment.particle_counts)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.m_list: {exc}") from exc
+def cmd_verify_lln(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+    _require("experiment.m_list", require_lln_grid, experiment.particle_counts)
+    if isinstance(experiment.model, DiscreteHMM):  # the truth enumerates every path
+        _require("experiment.horizon", require_path_space, experiment.model, experiment.horizon)
     report = run_replicates(experiment, workers=args.workers)
     check = lln_check(report)
     summary = report.to_json_dict()
-    summary["command"] = "verify-lln"
-    summary["lln"] = {
-        "slope": check.slope,
-        "passed": check.passed,
-        "slope_in_band": check.slope_in_band,
-        "max_fraction_decreasing": check.max_fraction_decreasing,
-        "rmse_by_m": {str(k): v for k, v in check.rmse_by_m.items()},
-        "median_max_fraction_by_m": {
-            str(k): v for k, v in check.median_max_fraction_by_m.items()
-        },
-    }
-    out = Path(args.out_dir)
-    _write_lines(out, "lln_rows.csv", report.csv_lines())
-    _write_json(out, "lln_summary.json", summary)
-    print(f"{'PASS' if check.passed else 'FAIL'} lln slope={check.slope:.3f}")
-    return 0 if check.passed else 1
+    summary["lln"] = asdict(check)
+    return Outcome(
+        "lln_summary.json",
+        summary,
+        [f"{_verdict(check.passed)} lln slope={check.slope:.3f}"],
+        check.passed,
+        "lln_rows.csv",
+        report.csv_lines(),
+    )
 
 
-def cmd_verify_clt(args, cfg: dict) -> int:
-    experiment = build_experiment(cfg, args.seed)
-    if not isinstance(experiment.model, DiscreteHMM):
-        raise ConfigError("verify-clt needs a discrete model (the oracle is exact there)")
-    _require_oracle_compatible(experiment.policy)
+def cmd_verify_clt(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+    _require("experiment.replicates", require_clt_replicates, experiment.replicates)
+    kappa2 = _oracle_kappa2(experiment)
     report = run_replicates(experiment, workers=args.workers)
-    kappa2 = resolved_kappa2(experiment.policy)
     state = run_recursion(
         experiment.model, experiment.proposal_kind, kappa2, horizon=experiment.horizon
     )
-    out = Path(args.out_dir)
     results = []
-    passed = True
     for fn in experiment.functions:
         sigma2 = state.sigma2(fn.table_for(experiment.model))
         for m in experiment.particle_counts:
             check = clt_check(report, sigma2, m=m, function=fn.name)
-            passed = passed and check.passed
             results.append(
                 {
                     "function": fn.name,
@@ -381,97 +389,69 @@ def cmd_verify_clt(args, cfg: dict) -> int:
                 }
             )
     summary = report.to_json_dict()
-    summary["command"] = "verify-clt"
     summary["clt"] = results
-    _write_lines(out, "clt_rows.csv", report.csv_lines())
-    _write_json(out, "clt_summary.json", summary)
-    for r in results:
-        print(
-            f"{'PASS' if r['passed'] else 'FAIL'} clt {r['function']} m={r['m']} "
-            f"var_ratio={r['var_ratio']:.3f} ks_p={r['ks_p']:.3f}"
-        )
-    return 0 if passed else 1
+    stdout = [
+        f"{_verdict(r['passed'])} clt {r['function']} m={r['m']} "
+        f"var_ratio={r['var_ratio']:.3f} ks_p={r['ks_p']:.3f}"
+        for r in results
+    ]
+    passed = all(r["passed"] for r in results)
+    return Outcome("clt_summary.json", summary, stdout, passed, "clt_rows.csv", report.csv_lines())
 
 
-def cmd_counterexample(args, cfg: dict) -> int:
-    experiment = build_experiment(cfg, args.seed)
+def cmd_counterexample(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     m = experiment.particle_counts[0]
     result = counterexample_run(m, experiment.replicates, experiment.seed)
-    summary_stats = summarize_counterexample(result.values)
+    stats = summarize_counterexample(result.values)
     passed = (
-        summary_stats["mass_at_low_atom"] >= 0.40
-        and summary_stats["mass_at_high_atom"] >= 0.40
-        and summary_stats["max_window_mass"] < 0.95
+        stats["mass_at_low_atom"] >= 0.40
+        and stats["mass_at_high_atom"] >= 0.40
+        and stats["max_window_mass"] < 0.95
     )
-    out = Path(args.out_dir)
     lines = ["replicate,value,mean_weight"]
     for r, (v, w) in enumerate(zip(result.values, result.mean_weights)):
         lines.append(f"{r},{v!r},{w!r}")
-    _write_lines(out, "counterexample_values.csv", lines)
-    _write_json(
-        out,
-        "counterexample_summary.json",
-        {
-            "command": "counterexample",
-            "m": m,
-            "replicates": experiment.replicates,
-            "seed": experiment.seed,
-            "summary": summary_stats,
-            "passed": passed,
-            "config": experiment.to_dict(),
-            "config_hash": experiment.config_hash(),
-            "version": __version__,
-        },
-    )
-    print(
-        f"{'PASS' if passed else 'FAIL'} counterexample "
-        f"low={summary_stats['mass_at_low_atom']:.2f} high={summary_stats['mass_at_high_atom']:.2f}"
-    )
-    return 0 if passed else 1
-
-
-def cmd_variance_table(args, cfg: dict) -> int:
-    experiment = build_experiment(cfg, args.seed)
-    if not isinstance(experiment.model, DiscreteHMM):
-        raise ConfigError("variance-table needs a discrete model")
-    _require_oracle_compatible(experiment.policy)
-    kappa2 = resolved_kappa2(experiment.policy)
-    functions = [
-        (fn.name, fn.table_for(experiment.model)) for fn in experiment.functions
+    summary = {
+        "m": m,
+        "replicates": experiment.replicates,
+        "seed": experiment.seed,
+        "summary": stats,
+        "passed": passed,
+    }
+    stdout = [
+        f"{_verdict(passed)} counterexample "
+        f"low={stats['mass_at_low_atom']:.2f} high={stats['mass_at_high_atom']:.2f}"
     ]
-    rows = variance_table(
+    return Outcome(
+        "counterexample_summary.json", summary, stdout, passed, "counterexample_values.csv", lines
+    )
+
+
+def cmd_variance_table(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+    state = run_recursion(
         experiment.model,
         experiment.proposal_kind,
-        kappa2,
-        functions,
+        _oracle_kappa2(experiment),
         horizon=experiment.horizon,
     )
+    tables = [fn.table_for(experiment.model) for fn in experiment.functions]
     header = ["k", "epsilon", "normalizer", "cv2_limit", "gamma_total"] + [
-        f"sigma2[{name}]" for name, _ in functions
+        f"sigma2[{fn.name}]" for fn in experiment.functions
+    ]
+    rows = [
+        dict(zip(header, (
+            k, step.epsilon, step.normalizer, step.cv2_limit, float(np.sum(step.gamma)),
+            *(state.sigma2(table, k) for table in tables),
+        )))
+        for k, step in enumerate(state.steps, start=1)
     ]
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            cells.append("" if value is None else (str(value) if isinstance(value, int) else repr(float(value))))
-        lines.append(",".join(cells))
-    out = Path(args.out_dir)
-    _write_lines(out, "variance_table.csv", lines)
-    _write_json(
-        out,
-        "variance_table.json",
-        {
-            "command": "variance-table",
-            "rows": rows,
-            "config": experiment.to_dict(),
-            "config_hash": experiment.config_hash(),
-            "version": __version__,
-        },
-    )
-    for line in lines:
-        print(line)
-    return 0
+        lines.append(",".join(
+            "" if v is None else str(v) if isinstance(v, int) else repr(float(v))
+            for v in (row[key] for key in header)
+        ))
+    return Outcome("variance_table.json", {"rows": rows}, lines, True, "variance_table.csv", lines)
 
 
 _COMMANDS = {
@@ -498,14 +478,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_command(args, cfg: dict) -> int:
+    """Build the experiment, run one command, write its reports; 0 on PASS, 1 on FAIL."""
+    experiment = build_experiment(cfg, args.seed)
+    outcome = _COMMANDS[args.command](args, cfg, experiment)
+    summary = dict(
+        outcome.summary,
+        command=args.command,
+        config=experiment.to_dict(),
+        config_hash=experiment.config_hash(),
+        version=__version__,
+    )
+    out = Path(args.out_dir)
+    if outcome.csv_name is not None:
+        _write_lines(out, outcome.csv_name, outcome.csv_lines)
+    _write_json(out, outcome.summary_name, summary)
+    for line in outcome.stdout:
+        print(line)
+    return 0 if outcome.passed else 1
+
+
 def main(argv=None) -> int:
     level = os.environ.get("SMC_LIMITS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        return run_command(args, load_config(args.config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

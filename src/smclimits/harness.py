@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._version import __version__
 from .resampling import ResamplingPolicy
 from .state_space import (
     DiscreteHMM,
@@ -37,6 +37,8 @@ from .state_space import (
     exact_joint_smoothing,
     smc_run,
 )
+
+log = logging.getLogger("smclimits")
 
 # ---------------------------------------------------------------------------
 # Normal CDF, Kolmogorov-Smirnov
@@ -110,6 +112,8 @@ class TerminalFunction:
     def table_for(self, model: DiscreteHMM) -> np.ndarray:
         n = model.n_states
         if self.kind == "indicator":
+            if not 0 <= self.state < n:
+                raise ValueError(f"indicator state {self.state} outside 0..{n - 1}")
             table = np.zeros(n)
             table[self.state] = 1.0
             return table
@@ -126,6 +130,12 @@ class TerminalFunction:
         if self.kind != "affine":
             raise ValueError("continuous models support affine functions only")
         return lambda x: self.a * x + self.b
+
+    def for_model(self, model: DiscreteHMM | LinearGaussianSSM):
+        """A per-state table for discrete models, a callable for the linear-Gaussian one."""
+        if isinstance(model, DiscreteHMM):
+            return self.table_for(model)
+        return self.callable_for()
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind}
@@ -186,6 +196,13 @@ class ExperimentConfig:
             raise ValueError("at least one replicate is required")
         if not 1 <= self.horizon <= self.model.horizon:
             raise ValueError("horizon exceeds the model's observation record")
+        for fn in self.functions:
+            fn.for_model(self.model)
+        if self.policy.trigger != "never" and self.policy.ratio < 1.0:
+            # selection may fire at every step, shrinking the smallest population each time
+            m = counts[0]
+            for _ in range(self.horizon - 1):
+                m = self.policy.output_size(m)
 
     def to_dict(self) -> dict:
         return {
@@ -226,12 +243,9 @@ def _replicate_row(task: tuple[ExperimentConfig, int, int, dict]) -> dict:
     trace = smc_run(
         config.model, config.proposal_kind, config.policy, m, seed, horizon=config.horizon
     )
-    estimates = {}
-    for fn in config.functions:
-        if isinstance(config.model, DiscreteHMM):
-            estimates[fn.name] = trace.terminal_estimate(fn.table_for(config.model))
-        else:
-            estimates[fn.name] = trace.terminal_estimate(fn.callable_for())
+    estimates = {
+        fn.name: trace.terminal_estimate(fn.for_model(config.model)) for fn in config.functions
+    }
     primary = config.functions[0].name
     final = trace.current
     return {
@@ -247,7 +261,6 @@ def _replicate_row(task: tuple[ExperimentConfig, int, int, dict]) -> dict:
             name: math.sqrt(m) * (est - truths[name]) for name, est in estimates.items()
         },
         "cv2_by_step": trace.cv2_by_step(),
-        "ess_by_step": trace.ess_by_step(),
         "decisions": [int(b) for b in trace.decisions()],
     }
 
@@ -288,9 +301,6 @@ def aggregate_rows(
 class ExperimentReport:
     """The full, reproducible outcome of one replication experiment."""
 
-    config: dict
-    config_hash: str
-    version: str
     truths: dict
     rows: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
@@ -313,13 +323,7 @@ class ExperimentReport:
         return lines
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "truths": self.truths,
-            "aggregates": self.aggregates,
-        }
+        return {"truths": self.truths, "aggregates": self.aggregates}
 
 
 def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -339,14 +343,12 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_replicate_row, tasks, chunksize=8))
-        except (OSError, PermissionError):  # no subprocess support: same result serially
+        except OSError as exc:  # no subprocess support: same result serially
+            log.warning("process pool unavailable (%s); running replicates serially", exc)
             rows = [_replicate_row(t) for t in tasks]
     else:
         rows = [_replicate_row(t) for t in tasks]
     return ExperimentReport(
-        config=config.to_dict(),
-        config_hash=config.config_hash(),
-        version=__version__,
         truths=truths,
         rows=rows,
         aggregates=aggregate_rows(rows, config.functions),
@@ -425,6 +427,12 @@ class CltCheck:
     n: int
 
 
+def require_clt_replicates(n: int) -> None:
+    """Raise unless ``n`` replicates are enough for :func:`clt_check`."""
+    if n < 200:
+        raise ValueError("the CLT check needs at least 200 replicates")
+
+
 def clt_check(
     report: ExperimentReport,
     sigma2_oracle: float,
@@ -446,8 +454,7 @@ def clt_check(
             raise ValueError("specify the particle count when several were run")
         m = counts[0]
     errors = report.scaled_errors(m, function)
-    if errors.size < 200:
-        raise ValueError("the CLT check needs at least 200 replicates")
+    require_clt_replicates(errors.size)
     if sigma2_oracle == 0.0:
         if np.all(errors == 0.0):
             return CltCheck(var_ratio=1.0, ks_stat=0.0, ks_p=1.0, passed=True, n=errors.size)

@@ -37,14 +37,13 @@ class ResamplingPolicy:
     ``trigger`` is one of "always", "never" or "cv"; with "cv" the filter
     resamples whenever the squared coefficient of variation of the weights
     reaches ``kappa2`` (non-strict comparison).  ``ratio`` sets the output
-    size as a multiple of the input size unless ``absolute_size`` is given.
+    size as a multiple of the input size.
     """
 
     scheme: str = MULTINOMIAL
     trigger: str = "always"
     kappa2: float = 0.0
     ratio: float = 1.0
-    absolute_size: int | None = None
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -53,11 +52,8 @@ class ResamplingPolicy:
             raise ValueError(f"unknown trigger {self.trigger!r}")
         if self.trigger == "cv" and not self.kappa2 >= 0.0:
             raise ValueError("kappa2 must be nonnegative")
-        if self.absolute_size is None:
-            if not self.ratio > 0.0:
-                raise ValueError("the output-size ratio must be positive")
-        elif self.absolute_size < 1:
-            raise ValueError("resampling output size must be >= 1")
+        if not self.ratio > 0.0:
+            raise ValueError("the output-size ratio must be positive")
 
     def should_fire(self, cv2: float) -> bool:
         if self.trigger == "always":
@@ -67,8 +63,6 @@ class ResamplingPolicy:
         return cv2 >= self.kappa2
 
     def output_size(self, m_in: int) -> int:
-        if self.absolute_size is not None:
-            return int(self.absolute_size)
         m_out = int(round(self.ratio * m_in))
         if m_out < 1:
             raise ValueError("resampling output size must be >= 1")

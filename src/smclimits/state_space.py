@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -405,18 +404,12 @@ class PathDistribution:
         """Expectation of a function of the terminal coordinate."""
         return float(np.dot(self.marginal(self.steps), np.asarray(f_table, dtype=float)))
 
-    def expect_path(self, f: Callable[[tuple], float]) -> float:
-        """Expectation of an arbitrary path functional (enumerates all paths)."""
-        total = 0.0
-        for idx in np.ndindex(self.probs.shape):
-            total += self.probs[idx] * f(idx)
-        return float(total)
 
-    def variance_terminal(self, f_table: np.ndarray) -> float:
-        marg = self.marginal(self.steps)
-        f_table = np.asarray(f_table, dtype=float)
-        mean = float(np.dot(marg, f_table))
-        return float(np.dot(marg, (f_table - mean) ** 2))
+
+def require_path_space(model: DiscreteHMM, k: int, cap: int = DEFAULT_PATH_CAP) -> None:
+    """Raise "path space too large" when the n^k length-k paths exceed ``cap``."""
+    if model.n_states**k > cap:
+        raise ValueError(f"path space too large: {model.n_states}^{k} paths exceed {cap}")
 
 
 def exact_joint_smoothing(
@@ -430,8 +423,7 @@ def exact_joint_smoothing(
     """
     if not 1 <= k <= model.horizon:
         raise ValueError(f"step {k} outside 1..{model.horizon}")
-    if model.n_states**k > cap:
-        raise ValueError("path space too large")
+    require_path_space(model, k, cap)
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
     for j in range(2, k + 1):
@@ -538,9 +530,6 @@ class SmcTrace:
 
     def cv2_by_step(self) -> list[float]:
         return [r.cv2 for r in self.records]
-
-    def ess_by_step(self) -> list[float]:
-        return [r.ess for r in self.records]
 
     def n_resamples(self) -> int:
         return sum(r.resampled for r in self.records)

@@ -28,11 +28,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .state_space import DEFAULT_PATH_CAP, DiscreteHMM, StepKernel, step_kernel
+from .state_space import DEFAULT_PATH_CAP, DiscreteHMM, StepKernel, require_path_space, step_kernel
 
 BOUNDARY_MARGIN = 0.1
 
@@ -95,9 +94,12 @@ class VarianceRecursionState:
             return np.broadcast_to(f, shape).copy()
         raise ValueError("f must be a terminal table, a path array, or a callable")
 
-    def sigma2(self, f) -> float:
-        """The asymptotic variance sigma_k^2(f) at the current step."""
-        return self._sigma2(self.k, self.path_function(f))
+    def sigma2(self, f, k: int | None = None) -> float:
+        """The asymptotic variance sigma_k^2(f) at step k (default: the current step)."""
+        k = self.k if k is None else k
+        if not 1 <= k <= self.k:
+            raise ValueError(f"step {k} outside 1..{self.k}")
+        return self._sigma2(k, self.path_function(f, k))
 
     def _sigma2(self, j: int, f: np.ndarray) -> float:
         entry = self.steps[j - 1]
@@ -120,8 +122,7 @@ class VarianceRecursionState:
 
 def recursion_init(model: DiscreteHMM, cap: int = DEFAULT_PATH_CAP) -> VarianceRecursionState:
     """Step-1 state: psi_1 = gamma_1 = first filter law, variance functional Var_{psi_1}."""
-    if model.n_states > cap:
-        raise ValueError("path space too large")
+    require_path_space(model, 1, cap)
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
     step = _StepState(psi=psi, gamma=psi, epsilon=None, normalizer=1.0, cv2_limit=None, kernel=None)
@@ -165,8 +166,7 @@ def recursion_step(
     k = state.k + 1
     if k > model.horizon:
         raise ValueError("no observations left: the recursion already reached the horizon")
-    if model.n_states**k > cap:
-        raise ValueError("path space too large")
+    require_path_space(model, k, cap)
     kernel = step_kernel(model, k, proposal_kind)
     normalizer, gamma_total = _mutation_totals(state, kernel)
     epsilon = 1 if gamma_total >= 1.0 + kappa2 else 0
@@ -210,40 +210,3 @@ def run_recursion(
     for _ in range(2, horizon + 1):
         state = recursion_step(state, model, proposal_kind, kappa2, cap)
     return state
-
-
-def variance_table(
-    model: DiscreteHMM,
-    proposal_kind: str,
-    kappa2: float,
-    functions: Sequence[tuple[str, np.ndarray]],
-    horizon: int | None = None,
-    cap: int = DEFAULT_PATH_CAP,
-) -> list[dict]:
-    """Per-step record of the recursion: indicators, normalizers, variances.
-
-    ``functions`` is a sequence of (name, terminal table) pairs; each row
-    reports sigma_k^2 for every requested function at that step.
-    """
-    horizon = model.horizon if horizon is None else horizon
-    state = recursion_init(model, cap)
-    rows = []
-
-    def row_for(s: VarianceRecursionState) -> dict:
-        last = s.steps[-1]
-        entry = {
-            "k": s.k,
-            "epsilon": last.epsilon,
-            "normalizer": last.normalizer,
-            "cv2_limit": last.cv2_limit,
-            "gamma_total": float(np.sum(s.gamma)),
-        }
-        for name, table in functions:
-            entry[f"sigma2[{name}]"] = s.sigma2(np.asarray(table, dtype=float))
-        return entry
-
-    rows.append(row_for(state))
-    for _ in range(2, horizon + 1):
-        state = recursion_step(state, model, proposal_kind, kappa2, cap)
-        rows.append(row_for(state))
-    return rows

@@ -1,8 +1,12 @@
 """Tests for the command-line front end: schema, exit codes, artifacts."""
 
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+from smclimits import cli
 from smclimits.cli import build_experiment, default_config, main
 
 
@@ -10,6 +14,10 @@ def _write(tmp_path: Path, cfg: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _small_experiment(**overrides) -> dict:
@@ -114,6 +122,94 @@ class TestVerifyLln:
         assert not out.exists()
 
 
+def _patched(patch: dict) -> dict:
+    cfg = _small_experiment()
+    for section, values in patch.items():
+        cfg[section].update(values)
+    return cfg
+
+
+_LGSSM = {
+    "type": "linear_gaussian",
+    "parameters": {"ar_coeff": 0.9, "state_std": 1.0, "obs_std": 0.5},
+}
+
+
+class TestRejectedUpFront:
+    """Configs the run cannot answer correctly exit 2 before any work or output."""
+
+    @pytest.mark.parametrize(
+        "command, patch, message",
+        [
+            pytest.param(
+                "verify-lln", {"experiment": {"horizon": 13}}, "path space", id="lln-paths"
+            ),
+            pytest.param(
+                "verify-clt", {"experiment": {"horizon": 13, "replicates": 200}}, "path space",
+                id="clt-paths",
+            ),
+            pytest.param(
+                "variance-table", {"experiment": {"horizon": 13}}, "path space", id="table-paths"
+            ),
+            pytest.param(
+                "verify-lln",
+                {
+                    "policy": {"ell": 0.5, "trigger": "always"},
+                    "experiment": {"horizon": 12, "m_list": [16, 32, 64, 128, 256]},
+                },
+                "output size",
+                id="ell-shrinks-population",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "indicator", "state": -1}]}},
+                "state",
+                id="indicator-state-negative",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "indicator", "state": 5}]}},
+                "state",
+                id="indicator-state-too-large",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "table", "values": [1.0, 2.0, 3.0]}]}},
+                "table length",
+                id="table-length",
+            ),
+            pytest.param("verify-lln", {"model": _LGSSM}, "affine", id="indicator-on-lgssm"),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "indicator", "state": "zero"}]}},
+                "integer",
+                id="state-not-numeric",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "affine", "a": "one"}]}},
+                "number",
+                id="a-not-numeric",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "affine", "b": [0.0]}]}},
+                "number",
+                id="b-not-numeric",
+            ),
+            pytest.param("verify-lln", {"model": {"obs_seed": "x"}}, "integer", id="obs-seed"),
+            pytest.param("verify-lln", {"model": {"obs_low": "low"}}, "number", id="obs-low"),
+            pytest.param("verify-lln", {"model": {"obs_high": None}}, "number", id="obs-high"),
+        ],
+    )
+    def test_exit_two_and_no_output(self, tmp_path, capsys, command, patch, message):
+        out = tmp_path / "out"
+        cfg_path = _write(tmp_path, _patched(patch))
+        assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+
 class TestVerifyResampling:
     def test_default_passes(self, tmp_path):
         code = main(["verify-resampling", "--out-dir", str(tmp_path)])
@@ -163,6 +259,64 @@ class TestCounterexample:
         assert summary["summary"]["mass_at_low_atom"] >= 0.40
 
 
+# sha256 of every report at toy sizes, taken before the CLI's report layer was
+# rewritten: exit code, stdout, each CSV, and each summary JSON without its
+# "version" key (the library version is expected to change)
+REPORT_DIGESTS = {
+    "verify-clt": (
+        {"horizon": 3, "m_list": [32], "replicates": 200},
+        {
+            "exit": 1,
+            "stdout": "a5edf3da46afe12f7d6ce42106454e518e384f6a51b58052f25f59654e7981b8",
+            "clt_rows.csv": "3d233f6bdb0c7eb2aebce1d6a1c161a84125be13475af76d54bcbfdd622829b6",
+            "clt_summary.json": "e055c7aab2f6ee826fde74d5422db58ef364a2549743c06620cceeb5bf2da07a",
+        },
+    ),
+    "variance-table": (
+        {"horizon": 5},
+        {
+            "exit": 0,
+            "stdout": "13141900e1b3572130e580bf496f002a403d1bfbef471f34dd060aa64dab526d",
+            "variance_table.csv": "13141900e1b3572130e580bf496f002a403d1bfbef471f34dd060aa64dab526d",
+            "variance_table.json": "58e4198d6c1c13a9e1643df52d1c8bdadef272db626c98b15a31e4b9d2b299ac",
+        },
+    ),
+    "counterexample": (
+        {"m_list": [2000], "replicates": 200},
+        {
+            "exit": 0,
+            "stdout": "891e8fe09bede81be77a40c3006cae665a68d02e1b6ee3b33f2f5b24f9c99e42",
+            "counterexample_summary.json": (
+                "9fff4d4171bd95df7eb0244a41c4b01f349fb21f465ed86fcd65f1b8b4297017"
+            ),
+            "counterexample_values.csv": (
+                "fb9a383098bf88be949683fe8151dce1d9f3794ea98f459f308858aa8411aacd"
+            ),
+        },
+    ),
+}
+
+
+class TestReportBytes:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+    def test_reports_match_pinned_digests(self, tmp_path, capsys, command):
+        experiment, expected = REPORT_DIGESTS[command]
+        cfg = default_config()
+        cfg["experiment"].update(experiment)
+        out = tmp_path / "out"
+        code = main([command, "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
+        digests = {"exit": code, "stdout": _sha256(capsys.readouterr().out.encode())}
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                doc = json.loads(data)
+                del doc["version"]
+                data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+            digests[path.name] = _sha256(data)
+        assert digests == expected
+
+
 class TestWorkersDeterminism:
     def test_verify_lln_bytes_identical(self, tmp_path):
         cfg = _small_experiment()
@@ -178,15 +332,24 @@ class TestWorkersDeterminism:
 
 
 class TestExitCodes:
-    def test_internal_error_maps_to_three(self, tmp_path):
-        # a valid config that breaks a runtime precondition: the CLT check
-        # refuses fewer than 200 replicates
+    def test_internal_error_maps_to_three(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("replicate engine failed")
+
+        monkeypatch.setattr(cli, "run_replicates", broken)
+        out = tmp_path / "out"
+        assert main(["verify-clt", "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+    def test_too_few_clt_replicates_rejected_before_any_replicate(self, tmp_path, monkeypatch):
+        # the CLT check refuses fewer than 200 replicates; the command says so up front
+        monkeypatch.setattr(cli, "run_replicates", None)
         cfg = default_config()
         cfg["experiment"]["replicates"] = 10
-        code = main(
-            ["verify-clt", "--config", _write(tmp_path, cfg), "--out-dir", str(tmp_path)]
-        )
-        assert code == 3
+        out = tmp_path / "out"
+        code = main(["verify-clt", "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

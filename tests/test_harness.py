@@ -1,6 +1,7 @@
 """Tests for the replication harness, KS machinery, and the counterexample."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from smclimits import (
     run_recursion,
     summarize_counterexample,
 )
+from smclimits import harness
 from smclimits.harness import aggregate_rows, kolmogorov_sf, require_lln_grid
 
 
@@ -145,6 +147,38 @@ class TestRunReplicates:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+    def test_pool_failure_falls_back_serially_with_a_warning(
+        self, tiny_config, monkeypatch, caplog
+    ):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no subprocess support")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", NoPool)
+        with caplog.at_level(logging.WARNING, logger="smclimits"):
+            report = run_replicates(tiny_config, workers=2)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "serially" in caplog.records[0].getMessage()
+        assert report.csv_lines() == run_replicates(tiny_config).csv_lines()
+
+    def test_validation_of_functions_and_population(self, bench_model):
+        def config(fn, policy=ResamplingPolicy(), counts=(64,)):
+            return ExperimentConfig(
+                model=bench_model, proposal_kind="prior", policy=policy, horizon=5,
+                functions=(fn,), particle_counts=counts, replicates=2, seed=0,
+            )
+
+        with pytest.raises(ValueError, match="outside 0..1"):
+            config(TerminalFunction(name="s", kind="indicator", state=-1))
+        with pytest.raises(ValueError, match="table length"):
+            config(TerminalFunction(name="t", kind="table", values=(1.0,)))
+        fn = TerminalFunction(name="ind0")
+        shrinking = ResamplingPolicy(trigger="cv", kappa2=1.0, ratio=0.25)
+        with pytest.raises(ValueError, match="output size"):
+            config(fn, shrinking, counts=(64,))
+        config(fn, shrinking, counts=(256,))  # 256 -> 64 -> 16 -> 4 -> 1
+        config(fn, ResamplingPolicy(trigger="never", ratio=0.25), counts=(1,))
 
     def test_aggregates_are_exchangeable(self, tiny_config):
         report = run_replicates(tiny_config)

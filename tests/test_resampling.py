@@ -299,7 +299,6 @@ class TestPolicy:
 
     def test_output_size(self):
         assert ResamplingPolicy(ratio=0.5).output_size(10) == 5
-        assert ResamplingPolicy(absolute_size=3).output_size(10) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from smclimits import (
     recursion_step,
     run_recursion,
     smc_run,
-    variance_table,
 )
 
 
@@ -293,11 +292,9 @@ class TestBoundaryWarning:
 
 class TestVarianceTable:
     def test_rows_structure(self, bench_model):
-        rows = variance_table(
-            bench_model, "prior", 1.0, [("ind0", np.array([1.0, 0.0]))], horizon=5
-        )
-        assert [row["k"] for row in rows] == [1, 2, 3, 4, 5]
-        assert rows[0]["epsilon"] is None
-        for row in rows[1:]:
-            assert row["epsilon"] in (0, 1)
-            assert row["sigma2[ind0]"] >= 0.0
+        state = run_recursion(bench_model, "prior", 1.0, horizon=5)
+        assert state.k == 5
+        assert state.steps[0].epsilon is None
+        for k, step in enumerate(state.steps[1:], start=2):
+            assert step.epsilon in (0, 1)
+            assert state.sigma2(np.array([1.0, 0.0]), k) >= 0.0
