@@ -132,6 +132,8 @@ def _parse_function(entry: dict, index: int) -> TerminalFunction:
     _require_keys(entry, path, ("kind",), ("name", "state", "a", "b", "values"))
     kind = entry["kind"]
     name = entry.get("name", f"f{index}")
+    if not isinstance(name, str):
+        raise ConfigError(f"{path}.name: expected a string")
     if kind == "indicator":
         state = _integer(entry.get("state", 0), f"{path}.state")
         return TerminalFunction(name=name, kind=kind, state=state)
@@ -166,6 +168,10 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
     if not isinstance(exp["functions"], list) or not exp["functions"]:
         raise ConfigError("experiment.functions: expected a nonempty list")
     functions = tuple(_parse_function(f, i) for i, f in enumerate(exp["functions"]))
+    names = [fn.name for fn in functions]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"experiment.functions[{i}].name: duplicate name {name!r}")
 
     proposal = cfg["proposal"]
     if proposal not in PROPOSAL_KINDS:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .resampling import ResamplingPolicy
 from .state_space import (
+    MAX_POPULATION,
     DiscreteHMM,
     LinearGaussianSSM,
     exact_joint_smoothing,
@@ -198,11 +199,18 @@ class ExperimentConfig:
             raise ValueError("horizon exceeds the model's observation record")
         for fn in self.functions:
             fn.for_model(self.model)
-        if self.policy.trigger != "never" and self.policy.ratio < 1.0:
-            # selection may fire at every step, shrinking the smallest population each time
-            m = counts[0]
+        if self.policy.trigger != "never" and self.policy.ratio != 1.0:
+            # selection may fire at every step, scaling each population each
+            # time: the smallest must keep one particle, the largest must fit
+            low, high = counts[0], counts[-1]
             for _ in range(self.horizon - 1):
-                m = self.policy.output_size(m)
+                if self.policy.ratio * high > MAX_POPULATION:
+                    raise ValueError(
+                        f"population growth: ell = {self.policy.ratio} takes "
+                        f"{counts[-1]} particles past {MAX_POPULATION} within "
+                        f"{self.horizon - 1} selections"
+                    )
+                low, high = self.policy.output_size(low), self.policy.output_size(high)
 
     def to_dict(self) -> dict:
         return {
@@ -342,7 +350,9 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_replicate_row, tasks, chunksize=8))
+                # one replicate per task: cost grows with the particle count,
+                # so chunks of several leave a worker idle at the end
+                rows = list(pool.map(_replicate_row, tasks))
         except OSError as exc:  # no subprocess support: same result serially
             log.warning("process pool unavailable (%s); running replicates serially", exc)
             rows = [_replicate_row(t) for t in tasks]

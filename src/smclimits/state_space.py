@@ -2,9 +2,15 @@
 
 The object of interest is the joint smoothing distribution: the conditional
 law of the state path x_{1:k} given a fixed observation record.  Particles
-are full paths; at step k each particle is extended by one coordinate
-through a proposal kernel and reweighted, and the system is rejuvenated by
+are paths; at step k each particle is extended by one coordinate through a
+proposal kernel and reweighted, and the system is rejuvenated by
 resampling whenever the weight skewness crosses the policy's threshold.
+
+The filter stores each step's paths by ancestry (Jacob, Murray and
+Rubenthaler, "Path storage in the particle filter", 2015): a step keeps
+only the coordinates the next mutation reads plus the ancestor indices of
+its selection, so its state is O(m) per step.  :meth:`SmcTrace.paths_at`
+rebuilds the full paths on demand.
 
 Three proposal kernels are built in:
 
@@ -42,6 +48,7 @@ RESAMPLE_MOVE = "resample_move"
 PROPOSAL_KINDS = (PRIOR, OPTIMAL, RESAMPLE_MOVE)
 
 DEFAULT_PATH_CAP = 4096
+MAX_POPULATION = 2**22  # largest particle count selection may grow a run to
 
 
 @dataclass(frozen=True)
@@ -281,7 +288,12 @@ class StepKernel:
     def mutate(
         self, paths: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Extend every path by one coordinate; return the new paths and log W.
+        """Extend every path by one coordinate; return the carried columns and log W.
+
+        ``paths`` needs only the columns the kernel reads: the last
+        coordinate, and for the path move the one before it.  The result
+        holds the columns the next step reads: the new coordinate, and for
+        ``resample_move`` the (possibly moved) parent coordinate before it.
 
         Draws per path, in this order: for the path move, a uniform
         proposal for every path, then an acceptance uniform for every
@@ -300,7 +312,7 @@ class StepKernel:
                 y = model.observations[self.k - 1]
                 post_mean = post_var * (model.ar_coeff * last / sx2 + y / tau2)
                 new = post_mean + math.sqrt(post_var) * noise
-            return np.hstack([paths, new[:, None]]), self._lgssm_log_weight(last, new)
+            return new[:, None], self._lgssm_log_weight(last, new)
         if self.has_move:
             target = self._move_target
             prev = paths[:, -2]
@@ -311,14 +323,15 @@ class StepKernel:
                 ratio = np.where(t_cur > 0.0, t_prop / np.where(t_cur > 0.0, t_cur, 1.0), np.inf)
             last = np.where(rng.random(m) < ratio, proposals, last)
         new = _rows_categorical(np.cumsum(self.prop, axis=1)[last], rng)
-        paths = np.hstack([paths[:, :-1], last[:, None], new[:, None]])
-        return paths, np.log(self._weight(last, new))
+        carried = np.stack([last, new], axis=1) if self.kind == RESAMPLE_MOVE else new[:, None]
+        return carried, np.log(self._weight(last, new))
 
     def pair(self) -> MutationKernelPair:
         """The per-particle kernel pair; ``propose`` runs :meth:`mutate` on one row."""
 
         def propose(rng, x):
-            return tuple(self.mutate(np.array([x]), rng)[0][0].tolist())
+            carried = self.mutate(np.array([x]), rng)[0][0].tolist()
+            return x[: len(x) + 1 - len(carried)] + tuple(carried)
 
         def support(x):
             if not self.has_move:
@@ -472,6 +485,13 @@ class StepRecord:
     an arbitrary common scale (the log of each step's true normalizing
     increment is kept separately in ``log_increment``), which leaves every
     self-normalized quantity untouched.
+
+    ``paths`` holds only the columns the next mutation reads: the last
+    coordinate, and for ``resample_move`` from step 2 on the one before it
+    as well (the path move rewrites it).  ``ancestors[i]`` is the index of
+    particle i's parent in the previous step's system when selection fired,
+    and ``None`` (each particle its own parent) when it did not.
+    :meth:`SmcTrace.paths_at` rebuilds the full paths from both.
     """
 
     step: int
@@ -482,12 +502,7 @@ class StepRecord:
     max_weight_fraction: float
     paths: np.ndarray
     weights: np.ndarray
-
-    def as_weighted_sample(self) -> WeightedSample:
-        particles = [tuple(int(s) for s in row) for row in self.paths] \
-            if np.issubdtype(self.paths.dtype, np.integer) \
-            else [tuple(float(s) for s in row) for row in self.paths]
-        return WeightedSample(particles, self.weights)
+    ancestors: np.ndarray | None = None
 
 
 @dataclass
@@ -507,19 +522,34 @@ class SmcTrace:
     def current(self) -> StepRecord:
         return self.records[-1]
 
+    def paths_at(self, step: int) -> np.ndarray:
+        """The full (m, step) paths of the system at ``step``, traced back by ancestry.
+
+        A record carrying c columns replaces the last c coordinates of its
+        parents' paths: full(k) = [full(k-1)[ancestors][:, :k-c], paths_k].
+        """
+        full = self.records[0].paths
+        for rec in self.records[1:step]:
+            if rec.ancestors is not None:
+                full = full[rec.ancestors]
+            full = np.hstack([full[:, : rec.step - rec.paths.shape[1]], rec.paths])
+        return full
+
     def sample_at(self, step: int) -> WeightedSample:
-        return self.records[step - 1].as_weighted_sample()
+        particles = [tuple(row) for row in self.paths_at(step).tolist()]
+        return WeightedSample(particles, self.records[step - 1].weights)
 
     def terminal_estimate(self, f) -> float:
         """Weighted estimate of a terminal-coordinate function.
 
-        ``f`` is either a table indexed by the discrete state or a callable
-        applied to the terminal coordinate.
+        ``f`` is either a table indexed by the discrete state or an
+        elementwise callable, applied once to the array of terminal
+        coordinates.
         """
         rec = self.current
         last = rec.paths[:, -1]
         if callable(f):
-            vals = np.array([f(v) for v in last], dtype=float)
+            vals = np.asarray(f(last), dtype=float)
         else:
             vals = np.asarray(f, dtype=float)[last]
         total = float(np.sum(rec.weights))
@@ -628,10 +658,11 @@ def smc_step(
     ess = ess_of_weights(mutated)
     max_frac = float(np.max(mutated)) / total
     fire = policy.should_fire(cv2)
+    ancestors = None
     if fire:
         m_out = policy.output_size(paths.shape[0])
-        idx = resample_indices(mutated, m_out, policy.scheme, rng)
-        paths = paths[idx]
+        ancestors = resample_indices(mutated, m_out, policy.scheme, rng)
+        paths = paths[ancestors]
         new_weights = np.ones(m_out)
     else:
         new_weights = mutated
@@ -645,6 +676,7 @@ def smc_step(
             max_weight_fraction=max_frac,
             paths=paths,
             weights=new_weights,
+            ancestors=ancestors,
         )
     )
     return trace

@@ -86,6 +86,12 @@ class TestConfigValidation:
         experiment = build_experiment(cfg)
         assert experiment.policy.trigger == "cv"
 
+    def test_population_growth_up_to_the_cap_accepted(self):
+        cfg = _small_experiment(horizon=12, m_list=[16, 32, 64, 2048])
+        cfg["policy"].update({"ell": 2.0, "trigger": "always"})
+        experiment = build_experiment(cfg)  # 2048 * 2**11 = MAX_POPULATION
+        assert experiment.particle_counts[-1] == 2048
+
     def test_inline_observations_accepted(self):
         cfg = default_config()
         del cfg["model"]["obs_seed"]
@@ -196,6 +202,34 @@ class TestRejectedUpFront:
                 {"experiment": {"functions": [{"kind": "affine", "b": [0.0]}]}},
                 "number",
                 id="b-not-numeric",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"name": ["x"], "kind": "indicator"}]}},
+                "experiment.functions[0].name",
+                id="name-not-string",
+            ),
+            pytest.param(
+                "verify-lln",
+                {
+                    "experiment": {
+                        "functions": [
+                            {"name": "f", "kind": "indicator", "state": 0},
+                            {"name": "f", "kind": "indicator", "state": 1},
+                        ]
+                    }
+                },
+                "experiment.functions[1].name",
+                id="duplicate-names",
+            ),
+            pytest.param(
+                "verify-lln",
+                {
+                    "policy": {"ell": 2.0, "trigger": "always"},
+                    "experiment": {"horizon": 12, "m_list": [16, 32, 64, 4096]},
+                },
+                "population growth",
+                id="ell-grows-population",
             ),
             pytest.param("verify-lln", {"model": {"obs_seed": "x"}}, "integer", id="obs-seed"),
             pytest.param("verify-lln", {"model": {"obs_low": "low"}}, "number", id="obs-low"),

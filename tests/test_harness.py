@@ -25,6 +25,7 @@ from smclimits import (
 )
 from smclimits import harness
 from smclimits.harness import aggregate_rows, kolmogorov_sf, require_lln_grid
+from smclimits.state_space import MAX_POPULATION
 
 
 def _normal_quantile(p):
@@ -179,6 +180,22 @@ class TestRunReplicates:
             config(fn, shrinking, counts=(64,))
         config(fn, shrinking, counts=(256,))  # 256 -> 64 -> 16 -> 4 -> 1
         config(fn, ResamplingPolicy(trigger="never", ratio=0.25), counts=(1,))
+
+    def test_population_growth_bounded(self, bench_model):
+        def config(counts, policy):
+            return ExperimentConfig(
+                model=bench_model, proposal_kind="prior", policy=policy, horizon=5,
+                functions=(TerminalFunction(name="ind0"),), particle_counts=counts,
+                replicates=2, seed=0,
+            )
+
+        doubling = ResamplingPolicy(trigger="cv", kappa2=1.0, ratio=2.0)
+        config((16, MAX_POPULATION // 16), doubling)  # four doublings reach the cap
+        with pytest.raises(ValueError, match="population growth"):
+            config((16, MAX_POPULATION // 16 + 1), doubling)
+        with pytest.raises(ValueError, match="population growth"):
+            config((16,), ResamplingPolicy(trigger="always", ratio=math.inf))
+        config((MAX_POPULATION,), ResamplingPolicy(trigger="never", ratio=2.0))
 
     def test_aggregates_are_exchangeable(self, tiny_config):
         report = run_replicates(tiny_config)

@@ -163,8 +163,8 @@ class TestStepKernel:
                 rw[x], abs=1e-12
             )
             drawn = pair.propose(np.random.default_rng(draw_seed), x)
-            paths, _ = kernel.mutate(np.array([x]), np.random.default_rng(draw_seed))
-            assert drawn == tuple(paths[0].tolist())
+            carried, _ = kernel.mutate(np.array([x]), np.random.default_rng(draw_seed))
+            assert drawn == x[: k - carried.shape[1]] + tuple(carried[0].tolist())
 
     def test_moves_built_on_first_read(self, small_model):
         kernel = step_kernel(small_model, 3, "resample_move")
@@ -174,7 +174,7 @@ class TestStepKernel:
         assert step_kernel(small_model, 2, "resample_move").moves is None
 
 
-# sha256 of current.paths and current.weights bytes after smc_run at m=64,
+# sha256 of the final full paths and weights bytes after smc_run at m=64,
 # seed 21, cv trigger at kappa2 = 0.3: any change to a kernel's draw order
 # or arithmetic shows here
 HMM_DRAWS = {
@@ -190,8 +190,9 @@ LG_DRAWS = {
 
 def _draw_digest(model, kind: str) -> str:
     policy = ResamplingPolicy(trigger="cv", kappa2=0.3)
-    rec = smc_run(model, kind, policy, 64, 21).current
-    return hashlib.sha256(rec.paths.tobytes() + rec.weights.tobytes()).hexdigest()
+    trace = smc_run(model, kind, policy, 64, 21)
+    paths = trace.paths_at(trace.step)
+    return hashlib.sha256(paths.tobytes() + trace.current.weights.tobytes()).hexdigest()
 
 
 class TestPinnedDraws:
@@ -203,6 +204,110 @@ class TestPinnedDraws:
     def test_linear_gaussian(self, kind):
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6])
         assert _draw_digest(model, kind) == LG_DRAWS[kind]
+
+
+# sha256 over every step k of the full (m, k) paths and the weights after
+# smc_run at m=64, seed 21, keyed model/kind/policy; taken when each record
+# still stored its full paths, so paths_at must rebuild them bit for bit
+STEP_MODELS = {
+    "hmm2": lambda: DiscreteHMM(
+        [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
+        [[1.0, 1.0], [2.0, 0.5], [1.5, 0.7], [0.9, 2.1]],
+    ),
+    "hmm3": lambda: _random_hmm(7, 3),
+    "lg": lambda: LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6]),
+}
+STEP_POLICIES = {
+    "cv": ResamplingPolicy(trigger="cv", kappa2=0.3),
+    "residual": ResamplingPolicy(scheme="residual", trigger="always"),
+    "never": ResamplingPolicy(trigger="never"),
+    "grow": ResamplingPolicy(trigger="always", ratio=1.5),
+}
+STEP_DRAWS = {
+    "hmm2/prior/cv": "eb4a02c6dd6a2ecd0a5768a8de1485326e5361208db17322cce80fb72b58048e",
+    "hmm2/prior/residual": "dd3bfefc3164ac3eb6436ac659938d8246687871cb60542d5a26c960acfccde0",
+    "hmm2/prior/never": "ec0e4f985d61a02939c84ca5715661e54efa9378afe39b3be04de85ad2d937c7",
+    "hmm2/prior/grow": "d96dcb6f2777318331694b8cc267ed8fb4f6eaa0c8c99dc0d3af25096f343d33",
+    "hmm2/optimal/cv": "3e8d5e89b4154609bc3536aa2b5fc5798c7242bdf47d9dafa82556f4b018b892",
+    "hmm2/optimal/residual": "b50fcc5718287df896df84a2057388b8784f470007d455651e961d547070d85c",
+    "hmm2/optimal/never": "3e8d5e89b4154609bc3536aa2b5fc5798c7242bdf47d9dafa82556f4b018b892",
+    "hmm2/optimal/grow": "13598d31fff3bb719fce3e6bb7faf32674c79e4b22851660acec2858040cf53b",
+    "hmm2/resample_move/cv": "dadfe222221d44daa18bb1bb581639d2b0be4a46f5178c9573828915f12b3bb7",
+    "hmm2/resample_move/residual": "870c309fdd3da0b0a876a37c630863b1acfe47c6d7d723398f217a91bf04e0aa",
+    "hmm2/resample_move/never": "3efd4a6bab86cad6a2f72ada1b23a85ccfd2477872ae3269eab121f167f18c70",
+    "hmm2/resample_move/grow": "e4e8ba29dea67b01078e5c07b2311e38b1091ba58f5675f3952d10f460a05a95",
+    "hmm3/prior/cv": "0e02d6b82a85c31a54e4c84048fa294e850513b95c6bec49d88c6685c81642ad",
+    "hmm3/prior/residual": "c083080d21957338f8e5d065449e6704faacd86ca77c81cf473e7ed6e0913d8a",
+    "hmm3/prior/never": "0e02d6b82a85c31a54e4c84048fa294e850513b95c6bec49d88c6685c81642ad",
+    "hmm3/prior/grow": "3a9820a8c67f1c1f7db9738d789bcb68eeaea28f29bf7a075f803c065cda44b3",
+    "hmm3/optimal/cv": "01f231bbf8ad933441d0588b4e47278696dfd7a415e66396b444465657f61519",
+    "hmm3/optimal/residual": "bfcd6591eb2362e4c6fa752e05406009bb3bdfb1ecc1923567e8399ecc7a9859",
+    "hmm3/optimal/never": "01f231bbf8ad933441d0588b4e47278696dfd7a415e66396b444465657f61519",
+    "hmm3/optimal/grow": "19e01cde46fdfe81b6784a1d88819f55a75680e408b04132de134ded3d328608",
+    "hmm3/resample_move/cv": "94a3b40a4605df221f8c755878424818f4bbd820c952b859b35e9e86edef537b",
+    "hmm3/resample_move/residual": "3a7fdcf7b01e6db2073b16422806e91a976230189a03a55cfe2515d83d9f3ce9",
+    "hmm3/resample_move/never": "94a3b40a4605df221f8c755878424818f4bbd820c952b859b35e9e86edef537b",
+    "hmm3/resample_move/grow": "4e69152c68900570ce7e9d2f22195da89ed0dab5c799fe879678ddddc75976dd",
+    "lg/prior/cv": "849b4988d57b79c2a5e5ec7392d20b11f7b459d092e4034fe34c745b37b02a14",
+    "lg/prior/residual": "d8ab342d3264e3dd250810210a7c251b779eb11d193f4ea58da5be93841c6d6b",
+    "lg/prior/never": "77e91f027723ae0d7ed1bff932c729d3b3929d31f6111eb91263d32355e7ead2",
+    "lg/prior/grow": "ee51fcc3b35bb010e67387c41a56241d92c37a9d199f8eb6aea410fd0358cdf1",
+    "lg/optimal/cv": "037fdff6e34e570c8ab118638c999a502af90a9740d525112338c8bba93bab85",
+    "lg/optimal/residual": "45f5f0d5c440f30eed8ee8b7e685da57162cacc810925bc50219b411d668a58e",
+    "lg/optimal/never": "037fdff6e34e570c8ab118638c999a502af90a9740d525112338c8bba93bab85",
+    "lg/optimal/grow": "8bd000de44bb84c364728d055527b4e81749692b4d163ead29092e115502f034",
+}
+
+
+class TestPathStorage:
+    @pytest.mark.parametrize("case", sorted(STEP_DRAWS))
+    def test_paths_at_rebuilds_every_step(self, case):
+        model_name, kind, policy_name = case.split("/")
+        trace = smc_run(STEP_MODELS[model_name](), kind, STEP_POLICIES[policy_name], 64, 21)
+        digest = hashlib.sha256()
+        for rec in trace.records:
+            paths = trace.paths_at(rec.step)
+            assert paths.shape == (rec.weights.size, rec.step)
+            digest.update(paths.tobytes() + rec.weights.tobytes())
+        assert digest.hexdigest() == STEP_DRAWS[case]
+
+    @pytest.mark.parametrize("kind", PROPOSAL_KINDS + ("lg_prior",))
+    def test_state_is_linear_in_the_horizon(self, kind):
+        m, horizon = 128, 50
+        if kind == "lg_prior":
+            model = LinearGaussianSSM(0.8, 1.0, 0.7, np.linspace(-1.0, 1.0, horizon))
+            kind = "prior"
+        else:
+            model = DiscreteHMM(
+                [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[2.0, 0.5], [0.6, 1.7]] * (horizon // 2)
+            )
+        trace = smc_run(model, kind, ResamplingPolicy(trigger="cv", kappa2=0.3), m, 4)
+        carried = 2 if kind == "resample_move" else 1
+        itemsize = trace.current.paths.itemsize
+        assert sum(r.paths.nbytes for r in trace.records) <= m * horizon * carried * itemsize
+
+    def test_ancestors_recorded_only_when_selection_fires(self, small_model):
+        trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="cv", kappa2=0.3), 64, 21)
+        assert trace.records[0].ancestors is None
+        for rec in trace.records[1:]:
+            assert (rec.ancestors is not None) == rec.resampled
+            if rec.resampled:
+                assert rec.ancestors.shape == (rec.weights.size,)
+
+    def test_callable_applied_once_to_the_terminal_array(self):
+        model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6])
+        trace = smc_run(model, "prior", ResamplingPolicy(trigger="cv", kappa2=0.3), 64, 21)
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return 2.0 * x + 1.0
+
+        est = trace.terminal_estimate(f)
+        assert calls == [(64,)]
+        rec = trace.current
+        vals = np.array([2.0 * v + 1.0 for v in rec.paths[:, -1]])
+        assert est == float(np.sum(rec.weights * vals)) / float(np.sum(rec.weights))
 
 
 class TestExactSmoothing:
@@ -238,7 +343,7 @@ class TestFilter:
     def test_path_lengths_grow_with_step(self, small_model):
         trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="always"), 50, 3)
         for rec in trace.records:
-            assert rec.paths.shape == (50, rec.step)
+            assert trace.paths_at(rec.step).shape == (50, rec.step)
 
     def test_never_policy_weights_are_likelihood_products(self, small_model):
         # sequential importance sampling: the weight of a path equals the
@@ -246,9 +351,10 @@ class TestFilter:
         trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="never"), 40, 11)
         rec = trace.current
         g = small_model.likelihoods
-        expected = np.array(
-            [np.prod([g[j, s] for j, s in enumerate(path) if j > 0]) for path in rec.paths]
-        )
+        expected = np.array([
+            np.prod([g[j, s] for j, s in enumerate(path) if j > 0])
+            for path in trace.paths_at(trace.step)
+        ])
         ratio = rec.weights / expected
         assert np.allclose(ratio, ratio[0], rtol=1e-12)
 
@@ -278,7 +384,7 @@ class TestFilter:
         policy = ResamplingPolicy(trigger="cv", kappa2=0.3)
         a = smc_run(small_model, "resample_move", policy, 64, 21)
         b = smc_run(small_model, "resample_move", policy, 64, 21)
-        assert np.array_equal(a.current.paths, b.current.paths)
+        assert np.array_equal(a.paths_at(a.step), b.paths_at(b.step))
         assert np.array_equal(a.current.weights, b.current.weights)
         assert a.decisions() == b.decisions()
 
