@@ -14,10 +14,8 @@ from smclimits import (
     DiscreteHMM,
     ResamplingPolicy,
     exact_joint_smoothing,
-    mutated_cv2_limit,
     random_likelihood_table,
-    recursion_init,
-    recursion_step,
+    run_recursion,
     smc_run,
 )
 
@@ -29,22 +27,15 @@ model = DiscreteHMM(
 )
 
 # --- adaptive run vs the exact recursion ------------------------------------
-kappa2 = 1.0
-policy = ResamplingPolicy(trigger="cv", kappa2=kappa2)
+policy = ResamplingPolicy(trigger="cv", kappa2=1.0)
 trace = smc_run(model, "prior", policy, m=16_384, seed=7)
+state = run_recursion(model, "prior", policy)
 
-state = recursion_init(model)
-limits, indicators = [], []
-for _ in range(2, HORIZON + 1):
-    limits.append(mutated_cv2_limit(state, model, "prior"))
-    state = recursion_step(state, model, "prior", kappa2)
-    indicators.append(state.steps[-1].epsilon)
-
-print(f"threshold kappa^2 = {kappa2}")
+print(f"threshold kappa^2 = {policy.kappa2}")
 print("step   CV^2 (filter)   CV^2 limit (exact)   resampled   indicator")
-for rec, limit, eps in zip(trace.records[1:], limits, indicators):
-    print(f"{rec.step:4d}   {rec.cv2:13.4f}   {limit:18.4f}   "
-          f"{str(rec.resampled):>9s}   {eps:9d}")
+for rec, step in zip(trace.records[1:], state.steps[1:]):
+    print(f"{rec.step:4d}   {rec.cv2:13.4f}   {step.cv2_limit:18.4f}   "
+          f"{str(rec.resampled):>9s}   {step.epsilon:9d}")
 print()
 
 # --- the terminal estimate against the exact smoothing law ------------------

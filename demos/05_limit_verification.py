@@ -53,7 +53,7 @@ config = ExperimentConfig(
     functions=(ind0,), particle_counts=(4096,), replicates=400, seed=43,
 )
 report = run_replicates(config, workers=1)
-sigma2 = run_recursion(model, "prior", 1.0, horizon=4).sigma2(np.array([1.0, 0.0]))
+sigma2 = run_recursion(model, "prior", policy, horizon=4).sigma2(np.array([1.0, 0.0]))
 result = clt_check(report, sigma2)
 print(f"exact asymptotic variance: {sigma2:.5f}")
 print(f"sample variance of scaled errors / exact: {result.var_ratio:.3f}")

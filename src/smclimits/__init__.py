@@ -47,7 +47,6 @@ from .state_space import (
 )
 from .variance_oracle import (
     VarianceRecursionState,
-    mutated_cv2_limit,
     recursion_init,
     recursion_step,
     run_recursion,
@@ -99,7 +98,6 @@ __all__ = [
     "smc_step",
     "step_kernel",
     "VarianceRecursionState",
-    "mutated_cv2_limit",
     "recursion_init",
     "recursion_step",
     "run_recursion",

@@ -48,7 +48,7 @@ from .state_space import (
     random_likelihood_table,
     require_path_space,
 )
-from .variance_oracle import run_recursion
+from .variance_oracle import VarianceRecursionState, run_recursion
 from .verify import (
     limit_weight_suite,
     unbiasedness_suite,
@@ -258,30 +258,14 @@ def _require(path: str, check, *args) -> None:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _oracle_kappa2(experiment: ExperimentConfig) -> float:
-    """The threshold the exact variance recursion mirrors for this experiment.
-
-    Raises ConfigError unless the recursion models the experiment: a
-    discrete model within the path cap and, when selection can fire,
-    multinomial selection at ell = 1.
-    """
-    if not isinstance(experiment.model, DiscreteHMM):
-        raise ConfigError("the exact variance recursion needs a discrete model")
-    _require("experiment.horizon", require_path_space, experiment.model, experiment.horizon)
-    policy = experiment.policy
-    if policy.trigger == "never":
-        return math.inf
-    if policy.scheme != "multinomial":
-        raise ConfigError(
-            "the exact variance recursion covers multinomial selection only; "
-            "use scheme 'multinomial' (or trigger 'never') here"
+def _oracle(experiment: ExperimentConfig) -> VarianceRecursionState:
+    """The exact variance recursion of the experiment's filter; exit 2 where it has none."""
+    try:
+        return run_recursion(
+            experiment.model, experiment.proposal_kind, experiment.policy, experiment.horizon
         )
-    if policy.ratio != 1.0:
-        raise ConfigError(
-            "the exact variance recursion assumes an output size equal to the "
-            "input size; use ell 1 (or trigger 'never') here"
-        )
-    return 0.0 if policy.trigger == "always" else policy.kappa2
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _sanitize(obj):
@@ -373,11 +357,8 @@ def cmd_verify_lln(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
 
 def cmd_verify_clt(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     _require("experiment.replicates", require_clt_replicates, experiment.replicates)
-    kappa2 = _oracle_kappa2(experiment)
+    state = _oracle(experiment)
     report = run_replicates(experiment, workers=args.workers)
-    state = run_recursion(
-        experiment.model, experiment.proposal_kind, kappa2, horizon=experiment.horizon
-    )
     results = []
     for fn in experiment.functions:
         sigma2 = state.sigma2(fn.table_for(experiment.model))
@@ -434,12 +415,7 @@ def cmd_counterexample(args, cfg: dict, experiment: ExperimentConfig) -> Outcome
 
 
 def cmd_variance_table(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
-    state = run_recursion(
-        experiment.model,
-        experiment.proposal_kind,
-        _oracle_kappa2(experiment),
-        horizon=experiment.horizon,
-    )
+    state = _oracle(experiment)
     tables = [fn.table_for(experiment.model) for fn in experiment.functions]
     header = ["k", "epsilon", "normalizer", "cv2_limit", "gamma_total"] + [
         f"sigma2[{fn.name}]" for fn in experiment.functions
@@ -480,12 +456,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
         p.add_argument("--out-dir", default=".", help="directory for reports")
-        p.add_argument("--workers", type=int, default=1, help="replicate-level parallelism")
+        p.add_argument("--workers", type=int, default=1, help="replicate-level parallelism (>= 1)")
     return parser
 
 
 def run_command(args, cfg: dict) -> int:
     """Build the experiment, run one command, write its reports; 0 on PASS, 1 on FAIL."""
+    _integer(args.workers, "--workers", 1)
     experiment = build_experiment(cfg, args.seed)
     outcome = _COMMANDS[args.command](args, cfg, experiment)
     summary = dict(

@@ -24,6 +24,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -198,7 +199,12 @@ class ExperimentConfig:
         if not 1 <= self.horizon <= self.model.horizon:
             raise ValueError("horizon exceeds the model's observation record")
         for fn in self.functions:
-            fn.for_model(self.model)
+            values = fn.for_model(self.model)
+            # a constant's estimation error is pure rounding noise, which no
+            # rate fit or variance ratio can judge
+            constant = fn.a == 0.0 if callable(values) else np.ptp(values) == 0.0
+            if constant:
+                raise ValueError(f"function {fn.name!r} is constant on the state space")
         if self.policy.trigger != "never" and self.policy.ratio != 1.0:
             # selection may fire at every step, scaling each population each
             # time: the smallest must keep one particle, the largest must fit
@@ -348,8 +354,10 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         for r in range(config.replicates)
     ]
     if workers > 1:
+        # a pool starts all its processes at once: no more than the tasks or cores
+        size = min(workers, len(tasks), os.cpu_count() or 1)
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=size) as pool:
                 # one replicate per task: cost grows with the particle count,
                 # so chunks of several leave a worker idle at the end
                 rows = list(pool.map(_replicate_row, tasks))

@@ -419,15 +419,15 @@ class PathDistribution:
 
 
 
-def require_path_space(model: DiscreteHMM, k: int, cap: int = DEFAULT_PATH_CAP) -> None:
-    """Raise "path space too large" when the n^k length-k paths exceed ``cap``."""
-    if model.n_states**k > cap:
-        raise ValueError(f"path space too large: {model.n_states}^{k} paths exceed {cap}")
+def require_path_space(model: DiscreteHMM, k: int) -> None:
+    """Raise "path space too large" when the n^k length-k paths exceed the enumeration cap."""
+    if model.n_states**k > DEFAULT_PATH_CAP:
+        raise ValueError(
+            f"path space too large: {model.n_states}^{k} paths exceed {DEFAULT_PATH_CAP}"
+        )
 
 
-def exact_joint_smoothing(
-    model: DiscreteHMM, k: int, cap: int = DEFAULT_PATH_CAP
-) -> PathDistribution:
+def exact_joint_smoothing(model: DiscreteHMM, k: int) -> PathDistribution:
     """The joint smoothing law over paths of length k, by direct summation.
 
     Proportional to initial(x_1) g_1(x_1) * prod_j transition(x_{j-1}, x_j)
@@ -436,7 +436,7 @@ def exact_joint_smoothing(
     """
     if not 1 <= k <= model.horizon:
         raise ValueError(f"step {k} outside 1..{model.horizon}")
-    require_path_space(model, k, cap)
+    require_path_space(model, k)
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
     for j in range(2, k + 1):
@@ -624,14 +624,8 @@ def smc_init(
     return SmcTrace(model, proposal_kind, policy, [record])
 
 
-def smc_step(
-    trace: SmcTrace,
-    model: DiscreteHMM | LinearGaussianSSM,
-    proposal_kind: str,
-    policy: ResamplingPolicy,
-    rng: np.random.Generator,
-) -> SmcTrace:
-    """Advance the trace by one mutation-selection step.
+def smc_step(trace: SmcTrace, rng: np.random.Generator) -> SmcTrace:
+    """Advance the trace by one mutation-selection step under its own model and policy.
 
     Mutation extends every particle once and multiplies its weight by the
     incremental weight (accumulated in log scale and re-exponentiated
@@ -639,12 +633,13 @@ def smc_step(
     selection decision compares the mutated weights' squared coefficient
     of variation with the policy's threshold.
     """
+    model, policy = trace.model, trace.policy
     k = trace.step + 1
     if k > model.horizon:
         raise ValueError("no observations left: the trace already reached the horizon")
     rec = trace.current
     weights = rec.weights
-    paths, log_inc = step_kernel(model, k, proposal_kind).mutate(rec.paths, rng)
+    paths, log_inc = step_kernel(model, k, trace.proposal_kind).mutate(rec.paths, rng)
     shift = float(np.max(log_inc))
     if not np.isfinite(shift):
         raise ValueError("weight collapse: non-finite incremental weights")
@@ -697,5 +692,5 @@ def smc_run(
         raise ValueError(f"horizon outside 1..{model.horizon}")
     trace = smc_init(model, m, proposal_kind, policy, rng)
     for _ in range(2, horizon + 1):
-        smc_step(trace, model, proposal_kind, policy, rng)
+        smc_step(trace, rng)
     return trace

@@ -11,8 +11,10 @@ sigma_k^2(f).  One step of the recursion composes the mutation rule
                     + gamma_{k-1} R( {W f - R(., W f)}^2 ) ] / normalizer^2
     gamma~(f)   = gamma_{k-1} R( W^2 f ) / normalizer^2
 
-with the multinomial-selection rule applied when the limiting squared
-coefficient of variation gamma~(1) - 1 reaches the threshold:
+with the multinomial-selection rule applied where the filter selects: the
+indicator is the filter's own ``ResamplingPolicy.should_fire`` evaluated
+at the limit of its statistic, the squared coefficient of variation
+max(gamma~(1) - 1, 0):
 
     sigma_k^2(f) = epsilon_k Var_{psi_k}(f) + sigma~^2(f)
     gamma_k      = epsilon_k psi_k + (1 - epsilon_k) gamma~
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .state_space import DEFAULT_PATH_CAP, DiscreteHMM, StepKernel, require_path_space, step_kernel
+from .resampling import MULTINOMIAL, ResamplingPolicy
+from .state_space import DiscreteHMM, StepKernel, require_path_space, step_kernel
 
 BOUNDARY_MARGIN = 0.1
 
@@ -42,7 +45,7 @@ class _StepState:
     gamma: np.ndarray         # second-moment measure, same indexing
     epsilon: int | None       # resampling indicator; None at step 1
     normalizer: float         # previous law carried through the target kernel
-    cv2_limit: float | None   # limiting squared CV of the mutated weights
+    cv2_limit: float | None   # limiting squared CV of the mutated weights, >= 0
     kernel: StepKernel | None  # the step's mutation kernel
 
 
@@ -52,6 +55,7 @@ class VarianceRecursionState:
 
     model: DiscreteHMM
     proposal_kind: str
+    policy: ResamplingPolicy
     steps: tuple[_StepState, ...]
 
     @property
@@ -69,10 +73,6 @@ class VarianceRecursionState:
     @property
     def epsilons(self) -> tuple:
         return tuple(s.epsilon for s in self.steps[1:])
-
-    @property
-    def normalizers(self) -> tuple:
-        return tuple(s.normalizer for s in self.steps[1:])
 
     def path_function(self, f, k: int | None = None) -> np.ndarray:
         """Coerce f to a dense array over length-k paths.
@@ -120,25 +120,31 @@ class VarianceRecursionState:
         return entry.epsilon * var + base
 
 
-def recursion_init(model: DiscreteHMM, cap: int = DEFAULT_PATH_CAP) -> VarianceRecursionState:
-    """Step-1 state: psi_1 = gamma_1 = first filter law, variance functional Var_{psi_1}."""
-    require_path_space(model, 1, cap)
+def recursion_init(
+    model: DiscreteHMM, proposal_kind: str, policy: ResamplingPolicy
+) -> VarianceRecursionState:
+    """Step-1 state: psi_1 = gamma_1 = first filter law, variance functional Var_{psi_1}.
+
+    Raises ValueError unless the recursion models the filter that runs
+    ``policy``: a discrete model and, when selection can fire, multinomial
+    selection at ell = 1.
+    """
+    if not isinstance(model, DiscreteHMM):
+        raise ValueError("the exact variance recursion needs a discrete model")
+    if policy.trigger != "never" and policy.scheme != MULTINOMIAL:
+        raise ValueError(
+            "the exact variance recursion covers multinomial selection only; "
+            "use scheme 'multinomial' (or trigger 'never') here"
+        )
+    if policy.trigger != "never" and policy.ratio != 1.0:
+        raise ValueError(
+            "the exact variance recursion assumes an output size equal to the "
+            "input size; use ell 1 (or trigger 'never') here"
+        )
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
     step = _StepState(psi=psi, gamma=psi, epsilon=None, normalizer=1.0, cv2_limit=None, kernel=None)
-    return VarianceRecursionState(model, "", (step,))
-
-
-def mutated_cv2_limit(
-    state: VarianceRecursionState, model: DiscreteHMM, proposal_kind: str
-) -> float:
-    """Limiting squared CV of the weights after the next mutation.
-
-    This is what the adaptive trigger's empirical squared CV converges to,
-    and the quantity the resampling indicator compares with the threshold.
-    """
-    kernel = step_kernel(model, state.k + 1, proposal_kind)
-    return _mutation_totals(state, kernel)[1] - 1.0
+    return VarianceRecursionState(model, proposal_kind, policy, (step,))
 
 
 def _mutation_totals(state: VarianceRecursionState, kernel: StepKernel) -> tuple[float, float]:
@@ -149,29 +155,27 @@ def _mutation_totals(state: VarianceRecursionState, kernel: StepKernel) -> tuple
     return normalizer, gamma_total
 
 
-def recursion_step(
-    state: VarianceRecursionState,
-    model: DiscreteHMM,
-    proposal_kind: str,
-    kappa2: float,
-    cap: int = DEFAULT_PATH_CAP,
-) -> VarianceRecursionState:
+def recursion_step(state: VarianceRecursionState) -> VarianceRecursionState:
     """Advance the recursion by one mutation-selection step.
 
-    ``kappa2`` may be ``math.inf`` (never resample) or 0 (the threshold is
-    always reached).  A warning is emitted when the limiting trigger
+    The indicator is ``policy.should_fire`` on the limiting squared CV,
+    clamped at 0 as the filter's own statistic is: on flat steps rounding
+    can leave gamma~(1) a few ulps below 1.  Under the "cv" trigger with a
+    finite threshold a warning is emitted when the limiting trigger
     statistic sits within 10% of the threshold: there the deterministic
     indicator stops predicting the finite-population decision reliably.
     """
+    model, policy = state.model, state.policy
     k = state.k + 1
     if k > model.horizon:
         raise ValueError("no observations left: the recursion already reached the horizon")
-    require_path_space(model, k, cap)
-    kernel = step_kernel(model, k, proposal_kind)
+    require_path_space(model, k)
+    kernel = step_kernel(model, k, state.proposal_kind)
     normalizer, gamma_total = _mutation_totals(state, kernel)
-    epsilon = 1 if gamma_total >= 1.0 + kappa2 else 0
-    if math.isfinite(kappa2):
-        proximity = abs(gamma_total - (1.0 + kappa2)) / (1.0 + kappa2)
+    cv2_limit = max(gamma_total - 1.0, 0.0)
+    epsilon = int(policy.should_fire(cv2_limit))
+    if policy.trigger == "cv" and math.isfinite(policy.kappa2):
+        proximity = abs(gamma_total - (1.0 + policy.kappa2)) / (1.0 + policy.kappa2)
         if proximity < BOUNDARY_MARGIN:
             warnings.warn(
                 f"trigger statistic within {proximity:.1%} of the threshold at step {k}; "
@@ -191,22 +195,22 @@ def recursion_step(
         gamma=gamma,
         epsilon=epsilon,
         normalizer=normalizer,
-        cv2_limit=gamma_total - 1.0,
+        cv2_limit=cv2_limit,
         kernel=kernel,
     )
-    return VarianceRecursionState(model, proposal_kind, state.steps + (step,))
+    return replace(state, steps=state.steps + (step,))
 
 
 def run_recursion(
     model: DiscreteHMM,
     proposal_kind: str,
-    kappa2: float,
+    policy: ResamplingPolicy,
     horizon: int | None = None,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> VarianceRecursionState:
-    """Run the recursion from step 1 through ``horizon``."""
+    """Run the recursion from step 1 through ``horizon`` (default: all steps)."""
     horizon = model.horizon if horizon is None else horizon
-    state = recursion_init(model, cap)
+    state = recursion_init(model, proposal_kind, policy)
+    require_path_space(model, horizon)
     for _ in range(2, horizon + 1):
-        state = recursion_step(state, model, proposal_kind, kappa2, cap)
+        state = recursion_step(state)
     return state

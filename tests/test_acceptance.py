@@ -24,7 +24,6 @@ from smclimits import (
     equally_weighted,
     exact_joint_smoothing,
     lln_check,
-    mutated_cv2_limit,
     recursion_init,
     recursion_step,
     run_recursion,
@@ -137,7 +136,7 @@ def test_criterion_05_clt_reproduction(bench):
             seed=SEED,
         )
         report = run_replicates(config)
-        sigma2 = run_recursion(bench, "prior", kappa2, horizon=4).sigma2(f_table)
+        sigma2 = run_recursion(bench, "prior", config.policy, horizon=4).sigma2(f_table)
         check = clt_check(report, sigma2, ratio_band=(0.8, 1.25), min_p=0.01)
         all_ok &= check.passed
         details.append(f"kappa2={kappa2}: ratio {check.var_ratio:.3f}, ks_p {check.ks_p:.3f}")
@@ -180,11 +179,11 @@ def test_criterion_07_adaptive_trigger_limit(bench):
         seed=SEED,
     )
     report = run_replicates(config)
-    state = recursion_init(bench)
+    state = recursion_init(bench, "prior", config.policy)
     oracle_limits, oracle_eps = [], []
     for _ in range(2, 6):
-        oracle_limits.append(mutated_cv2_limit(state, bench, "prior"))
-        state = recursion_step(state, bench, "prior", 1.0)
+        state = recursion_step(state)
+        oracle_limits.append(state.steps[-1].cv2_limit)
         oracle_eps.append(state.steps[-1].epsilon)
     empirical = report.aggregates[0]["mean_cv2_by_step"][1:]
     rel_errors = [abs(e - o) / o for e, o in zip(empirical, oracle_limits)]
@@ -219,16 +218,16 @@ def test_criterion_08_residual_counterexample():
 def test_criterion_09_oracle_self_consistency(bench):
     start = time.time()
     psi_ok = True
-    state = recursion_init(bench)
+    state = recursion_init(bench, "prior", _bench_policy(1.0))
     for k in range(2, 6):
-        state = recursion_step(state, bench, "prior", 1.0)
+        state = recursion_step(state)
         law = exact_joint_smoothing(bench, k)
         psi_ok &= bool(np.max(np.abs(state.psi - law.probs)) <= 1e-12)
     k2_model = DiscreteHMM(
         [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [2.0, 0.5]]
     )
     f = np.array([1.0, 0.0])
-    step2 = recursion_step(recursion_init(k2_model), k2_model, "prior", 0.0)
+    step2 = recursion_step(recursion_init(k2_model, "prior", _bench_policy(0.0)))
     brute = brute_force_sigma2_step2(k2_model, 0.0, f)
     sigma_err = abs(step2.sigma2(f) - brute)
     elapsed = time.time() - start

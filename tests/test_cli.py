@@ -231,6 +231,32 @@ class TestRejectedUpFront:
                 "population growth",
                 id="ell-grows-population",
             ),
+            pytest.param(
+                "verify-clt",
+                {"experiment": {"functions": [{"kind": "affine", "a": 0, "b": 3}],
+                                "m_list": [256], "replicates": 200}},
+                "constant",
+                id="clt-constant-affine",
+            ),
+            pytest.param(
+                "verify-clt",
+                {"experiment": {"functions": [{"kind": "table", "values": [0.3, 0.3]}],
+                                "m_list": [256], "replicates": 200}},
+                "constant",
+                id="clt-constant-table",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"experiment": {"functions": [{"kind": "affine", "a": 0, "b": 3}]}},
+                "constant",
+                id="lln-constant-affine",
+            ),
+            pytest.param(
+                "verify-lln", {"model": _LGSSM, "experiment": {
+                    "functions": [{"kind": "affine", "a": 0.0, "b": 1.0}]}},
+                "constant",
+                id="lln-constant-on-lgssm",
+            ),
             pytest.param("verify-lln", {"model": {"obs_seed": "x"}}, "integer", id="obs-seed"),
             pytest.param("verify-lln", {"model": {"obs_low": "low"}}, "number", id="obs-low"),
             pytest.param("verify-lln", {"model": {"obs_high": None}}, "number", id="obs-high"),
@@ -384,6 +410,16 @@ class TestExitCodes:
         code = main(["verify-clt", "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        cfg_path = _write(tmp_path, _small_experiment())
+        code = main(["verify-lln", "--config", cfg_path, "--out-dir", str(out),
+                     "--workers", workers])
+        assert code == 2
+        assert not out.exists()
+        assert "--workers" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -163,6 +163,34 @@ class TestRunReplicates:
         assert "serially" in caplog.records[0].getMessage()
         assert report.csv_lines() == run_replicates(tiny_config).csv_lines()
 
+    def test_pool_size_bounded_by_tasks_and_cores(self, tiny_config, monkeypatch):
+        # a pool forks all its processes up front; record the size asked for
+        # instead of starting any
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        serial = run_replicates(tiny_config).csv_lines()
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        for workers in (100_000, 9, 2, 1, 0):
+            assert run_replicates(tiny_config, workers=workers).csv_lines() == serial
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_replicates(tiny_config, workers=100_000)
+        # 12 tasks on 8 cores; one worker or fewer runs in this process
+        assert sizes == [8, 8, 2, 1]
+
     def test_validation_of_functions_and_population(self, bench_model):
         def config(fn, policy=ResamplingPolicy(), counts=(64,)):
             return ExperimentConfig(
@@ -174,6 +202,12 @@ class TestRunReplicates:
             config(TerminalFunction(name="s", kind="indicator", state=-1))
         with pytest.raises(ValueError, match="table length"):
             config(TerminalFunction(name="t", kind="table", values=(1.0,)))
+        for constant in (
+            TerminalFunction(name="c", kind="affine", a=0.0, b=3.0),
+            TerminalFunction(name="c", kind="table", values=(0.3, 0.3)),
+        ):
+            with pytest.raises(ValueError, match="constant"):
+                config(constant)
         fn = TerminalFunction(name="ind0")
         shrinking = ResamplingPolicy(trigger="cv", kappa2=1.0, ratio=0.25)
         with pytest.raises(ValueError, match="output size"):
@@ -309,7 +343,7 @@ def clt_report_and_sigma(bench_model):
         seed=31,
     )
     report = run_replicates(config)
-    state = run_recursion(bench_model, "prior", 1.0, horizon=3)
+    state = run_recursion(bench_model, "prior", config.policy, horizon=3)
     return report, state.sigma2(np.array([1.0, 0.0]))
 
 

@@ -334,9 +334,11 @@ class TestExactSmoothing:
             for j in range(1, k + 1):
                 assert np.allclose(law.marginal(j), fb[j - 1], atol=1e-12)
 
-    def test_cap(self, small_model):
+    def test_cap(self):
+        # 2^13 = 8192 paths, past the 4096-path enumeration cap
+        model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 2.0]] * 13)
         with pytest.raises(ValueError, match="path space too large"):
-            exact_joint_smoothing(small_model, 4, cap=8)
+            exact_joint_smoothing(model, 13)
 
 
 class TestFilter:
@@ -433,7 +435,7 @@ class TestFilter:
     def test_step_beyond_horizon_rejected(self, small_model):
         trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="always"), 8, 1)
         with pytest.raises(ValueError, match="horizon"):
-            smc_step(trace, small_model, "prior", ResamplingPolicy(trigger="always"), as_rng(0))
+            smc_step(trace, as_rng(0))
 
     def test_residual_scheme_inside_filter(self, small_model):
         policy = ResamplingPolicy(scheme="residual", trigger="always")

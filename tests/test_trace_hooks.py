@@ -1,0 +1,54 @@
+"""The benchmark's traced pass still sees every filter step of the CLI path.
+
+``perfbench/trace_pass.py`` swaps module-level names of smclimits
+(``state_space.smc_init``, ``state_space.smc_step``, ``cli.run_recursion``,
+...) for timing wrappers.  A call that stops going through those names
+drops out of the per-layer metrics without any error, so one traced pass
+per filter workload runs here at toy size and its exact particle-step
+count is checked against the config: the sum over particle counts of
+m * horizon * replicates.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+
+@pytest.mark.parametrize(
+    "command, workload, experiment, particle_steps",
+    [
+        pytest.param(
+            "verify-clt", "clt-small.json", {"m_list": [64], "replicates": 200},
+            64 * 4 * 200, id="clt-small",
+        ),
+        pytest.param(
+            "verify-lln", "lln-long.json",
+            {"m_list": [16, 32, 64, 256], "replicates": 4, "horizon": 10},
+            (16 + 32 + 64 + 256) * 10 * 4, id="lln-long",
+        ),
+    ],
+)
+def test_traced_pass_counts_every_particle_step(
+    tmp_path, command, workload, experiment, particle_steps
+):
+    cfg = json.loads((BENCH / "workloads" / workload).read_text())
+    cfg["experiment"].update(experiment)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "trace_pass.py"), "--traced",
+         "--out-dir", str(tmp_path / "out"), "--", command, "--config", str(cfg_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] in (0, 1), proc.stderr
+    assert result["counts"]["state_space.particle_steps"] == particle_steps
