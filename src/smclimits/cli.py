@@ -106,8 +106,8 @@ def _integer(value, path: str, low: int = 0) -> int:
 
 
 def _number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number")
     return float(value)
 
 
@@ -145,9 +145,12 @@ def _parse_function(entry: dict, index: int) -> TerminalFunction:
             b=_number(entry.get("b", 0.0), f"{path}.b"),
         )
     if kind == "table":
-        if not isinstance(entry.get("values"), list):
+        values = entry.get("values")
+        if not isinstance(values, list):
             raise ConfigError(f"{path}: table functions need a 'values' list")
-        return TerminalFunction(name=name, kind=kind, values=tuple(entry["values"]))
+        for i, value in enumerate(values):
+            _number(value, f"{path}.values[{i}]")
+        return TerminalFunction(name=name, kind=kind, values=tuple(values))
     raise ConfigError(f"{path}: unknown function kind {kind!r}")
 
 
@@ -234,17 +237,18 @@ def build_model(section: dict, horizon: int):
             raise ConfigError(f"model: {exc}") from exc
     if section["type"] == "linear_gaussian":
         _require_keys(params, "model.parameters", ("ar_coeff", "state_std", "obs_std"))
+        coeffs = [
+            _number(params[key], f"model.parameters.{key}")
+            for key in ("ar_coeff", "state_std", "obs_std")
+        ]
         try:
             if has_obs:
                 obs = np.array(section["observations"], dtype=float)
+                if not np.all(np.isfinite(obs)):
+                    raise ConfigError("model.observations: expected finite numbers")
             else:
-                probe = LinearGaussianSSM(
-                    params["ar_coeff"], params["state_std"], params["obs_std"], [0.0]
-                )
-                obs = probe.simulate_observations(horizon, obs_seed)
-            return LinearGaussianSSM(
-                params["ar_coeff"], params["state_std"], params["obs_std"], obs
-            )
+                obs = LinearGaussianSSM(*coeffs, [0.0]).simulate_observations(horizon, obs_seed)
+            return LinearGaussianSSM(*coeffs, obs)
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
     raise ConfigError(f"model.type: unknown type {section['type']!r}")

@@ -76,9 +76,16 @@ def categorical_indices(
 
     One uniform per draw, consumed in draw order: the rng-to-outcome
     mapping is fixed, which the seeded reproducibility tests rely on.
+    The keys are searched in sorted order, which makes the search's
+    memory access and branches predictable.  The order cannot change an
+    index: ``searchsorted`` places each key on its own, and every index
+    is written back to its key's draw slot.
     """
     cum = np.cumsum(weights)
-    idx = np.searchsorted(cum, rng.random(n_draws) * cum[-1], side="right")
+    u = rng.random(n_draws) * cum[-1]
+    order = np.argsort(u)
+    idx = np.empty(n_draws, dtype=np.intp)
+    idx[order] = np.searchsorted(cum, u[order], side="right")
     return np.minimum(idx, weights.size - 1)
 
 

@@ -77,6 +77,8 @@ class DiscreteHMM:
         initial = np.array(initial, dtype=float)
         transition = np.array(transition, dtype=float)
         likelihoods = np.array(likelihoods, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (initial, transition, likelihoods)):
+            raise ValueError("initial, transition and likelihood entries must be finite")
         n = initial.size
         if n < 2:
             raise ValueError("a discrete model needs at least two states")
@@ -144,6 +146,8 @@ class LinearGaussianSSM:
 
     def __init__(self, ar_coeff, state_std, obs_std, observations):
         observations = np.array(observations, dtype=float)
+        if not np.all(np.isfinite([ar_coeff, state_std, obs_std])):
+            raise ValueError("ar_coeff, state_std and obs_std must be finite")
         if not (state_std > 0.0 and obs_std > 0.0):
             raise ValueError("noise standard deviations must be positive")
         if not abs(ar_coeff) < 1.0:
@@ -201,11 +205,24 @@ class LinearGaussianSSM:
 # ---------------------------------------------------------------------------
 
 
-def _rows_categorical(cum_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One inverse-CDF draw per row of a cumulative-probability matrix."""
-    u = rng.random(cum_rows.shape[0]) * cum_rows[:, -1]
-    idx = np.sum(cum_rows <= u[:, None], axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _rows_categorical(
+    cum: np.ndarray, rows: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One inverse-CDF draw per entry of ``rows``, from that row of the table ``cum``.
+
+    ``cum`` holds cumulative probabilities, one row per parent state.  Draw
+    i reads one uniform, in draw order, and its key is that uniform times
+    ``cum[rows[i], -1]``.  The index is the number of row entries <= the
+    key, clipped to n - 1.  It is counted one column at a time over the
+    first n - 1 columns, which needs no clip: rows of ``cum`` never
+    decrease, so when the last entry is <= the key every entry is, and
+    both forms give n - 1.
+    """
+    u = rng.random(rows.size) * cum[:, -1][rows]
+    idx = np.zeros(rows.size, dtype=np.int64)
+    for column in cum[:, :-1].T:
+        idx += column[rows] <= u
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +339,7 @@ class StepKernel:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(t_cur > 0.0, t_prop / np.where(t_cur > 0.0, t_cur, 1.0), np.inf)
             last = np.where(rng.random(m) < ratio, proposals, last)
-        new = _rows_categorical(np.cumsum(self.prop, axis=1)[last], rng)
+        new = _rows_categorical(np.cumsum(self.prop, axis=1), last, rng)
         carried = np.stack([last, new], axis=1) if self.kind == RESAMPLE_MOVE else new[:, None]
         return carried, np.log(self._weight(last, new))
 
@@ -598,9 +615,8 @@ def smc_init(
     if isinstance(model, DiscreteHMM):
         first = model.initial * model.likelihoods[0]
         norm = float(np.sum(first))
-        cum = np.cumsum(first)
-        idx = np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
-        paths = np.minimum(idx, model.n_states - 1).astype(np.int64)[:, None]
+        start = np.zeros(m, dtype=np.int64)
+        paths = _rows_categorical(np.cumsum(first)[None, :], start, rng)[:, None]
     else:
         v0 = model.stationary_var
         tau2 = model.obs_std**2

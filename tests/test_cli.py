@@ -128,10 +128,15 @@ class TestVerifyLln:
         assert not out.exists()
 
 
+_DROP = object()  # a patch value that removes its key
+
+
 def _patched(patch: dict) -> dict:
     cfg = _small_experiment()
     for section, values in patch.items():
         cfg[section].update(values)
+        for key in [key for key, value in values.items() if value is _DROP]:
+            del cfg[section][key]
     return cfg
 
 
@@ -139,6 +144,19 @@ _LGSSM = {
     "type": "linear_gaussian",
     "parameters": {"ar_coeff": 0.9, "state_std": 1.0, "obs_std": 0.5},
 }
+_NAN, _INF = float("nan"), float("inf")  # written to JSON as NaN and Infinity
+
+
+def _function(**entry) -> dict:
+    return {"experiment": {"functions": [entry]}}
+
+
+def _hmm(initial=(0.5, 0.5), transition=((0.9, 0.1), (0.2, 0.8))) -> dict:
+    return {"model": {"parameters": {"initial": initial, "transition": transition}}}
+
+
+def _lgssm(**changes) -> dict:
+    return {"model": dict(_LGSSM, parameters=dict(_LGSSM["parameters"], **changes))}
 
 
 class TestRejectedUpFront:
@@ -260,6 +278,52 @@ class TestRejectedUpFront:
             pytest.param("verify-lln", {"model": {"obs_seed": "x"}}, "integer", id="obs-seed"),
             pytest.param("verify-lln", {"model": {"obs_low": "low"}}, "number", id="obs-low"),
             pytest.param("verify-lln", {"model": {"obs_high": None}}, "number", id="obs-high"),
+            pytest.param(
+                "verify-lln", _function(kind="table", values=[_NAN, 1.0]),
+                "values[0]: expected a finite", id="table-nan",
+            ),
+            pytest.param(
+                "verify-lln", _function(kind="table", values=[0.5, "1.0"]),
+                "values[1]: expected a finite", id="table-string",
+            ),
+            pytest.param(
+                "verify-lln", _function(kind="table", values=[True, False]),
+                "values[0]: expected a finite", id="table-bool",
+            ),
+            pytest.param("verify-lln", _function(kind="affine", a=_NAN), "finite", id="a-nan"),
+            pytest.param(
+                "verify-lln", _function(kind="affine", b=_INF), "finite", id="b-infinite"
+            ),
+            pytest.param("verify-lln", _hmm(initial=[_NAN, 1.0]), "finite", id="initial-nan"),
+            pytest.param(
+                "verify-lln", _hmm(transition=[[_NAN, 1.0], [0.2, 0.8]]), "finite",
+                id="transition-nan",
+            ),
+            pytest.param(
+                "verify-lln", {"model": {"obs_seed": _DROP, "observations": [[1.0, _INF]] * 3}},
+                "finite", id="likelihood-infinite",
+            ),
+            pytest.param(
+                "verify-lln", {"model": {"obs_high": _INF}}, "finite", id="obs-high-infinite"
+            ),
+            pytest.param("verify-lln", {"model": {"obs_low": _NAN}}, "finite", id="obs-low-nan"),
+            pytest.param(
+                "verify-lln", _lgssm(ar_coeff="0.9"), "ar_coeff: expected a finite",
+                id="ar-coeff-string",
+            ),
+            pytest.param(
+                "verify-lln", _lgssm(obs_std=_INF), "obs_std: expected a finite",
+                id="obs-std-infinite",
+            ),
+            pytest.param(
+                "verify-lln", _lgssm(state_std=_NAN), "state_std: expected a finite",
+                id="state-std-nan",
+            ),
+            pytest.param(
+                "verify-lln",
+                {"model": dict(_LGSSM, obs_seed=_DROP, observations=[0.1, _NAN, 0.2])},
+                "model.observations", id="lgssm-observation-nan",
+            ),
         ],
     )
     def test_exit_two_and_no_output(self, tmp_path, capsys, command, patch, message):
@@ -375,6 +439,27 @@ class TestReportBytes:
                 data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
             digests[path.name] = _sha256(data)
         assert digests == expected
+
+
+# sha256 of the rows CSV of the benchmark's two filter workloads, run from
+# their pinned configs at fewer replicates and taken with the plain
+# (unsorted) inverse-CDF search.  clt-small sorts 4096 multinomial keys per
+# selection; lln-long makes residual draws at m up to 16384.
+WORKLOAD_ROWS = {
+    "clt-small": (20, "ee2873d11114bb8d0c5dc6b7625567d25e18b00bb3e1bbd941b757c4686a53ac"),
+    "lln-long": (2, "56b780544b5af46bfe1eb93d2fddc54d81076a296a7cf90f7f1c3460403c7258"),
+}
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+class TestWorkloadRowsBytes:
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_ROWS))
+    def test_rows_match_pinned_digest(self, workload):
+        replicates, expected = WORKLOAD_ROWS[workload]
+        cfg = cli.load_config(str(WORKLOADS / f"{workload}.json"))
+        cfg["experiment"]["replicates"] = replicates
+        report = cli.run_replicates(build_experiment(cfg))
+        assert _sha256(("\n".join(report.csv_lines()) + "\n").encode()) == expected
 
 
 class TestWorkersDeterminism:

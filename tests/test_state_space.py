@@ -51,6 +51,26 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="stationary"):
             LinearGaussianSSM(1.1, 1.0, 1.0, [0.0])
 
+    @pytest.mark.parametrize(
+        "initial, transition, likelihoods",
+        [
+            # NaN passes a tolerance test on the row sums: abs(NaN - 1) > tol is False
+            ([math.nan, 1.0], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]]),
+            ([0.5, 0.5], [[0.9, 0.1], [math.nan, 1.0]], [[1.0, 1.0]]),
+            ([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, math.inf]]),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, initial, transition, likelihoods):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteHMM(initial, transition, likelihoods)
+
+    @pytest.mark.parametrize(
+        "coeffs", [(math.nan, 1.0, 1.0), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf)]
+    )
+    def test_lgssm_non_finite_parameters_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            LinearGaussianSSM(*coeffs, [0.0])
+
 
 class TestPriorProposal:
     def test_support_matches_transition_rows(self, small_model):
