@@ -1,68 +1,49 @@
 """Mutation: moving particles through a proposal kernel and reweighting.
 
 The mutation step draws offspring from a proposal kernel R and multiplies
-each weight by W = dL/dR, where L is the target kernel.  Two special cases
-make the mechanics transparent:
-
-* pure reweighting (the proposal is the identity) recovers classical
-  importance sampling;
-* an enumerable two-state kernel lets us check the defining unbiasedness
-  property exactly.
+each weight by W = dL/dR, where L is the target kernel.  On a two-state
+model every proposal kind is one ``StepKernel``: its ``mutate`` moves a
+whole population at once, and its tables give R(x, W f) exactly, so the
+defining unbiasedness property can be checked against Monte Carlo.  The
+last table shows why the likelihood-tilted ("optimal") proposal is worth
+having: its weights spread less than the prior's.
 """
 
 import numpy as np
 
-from smclimits import (
-    MutationKernelPair,
-    WeightedSample,
-    equally_weighted,
-    mutate,
-    reweighting_pair,
-)
+from smclimits import DiscreteHMM, step_kernel
+from smclimits.weighted_sample import cv2_of_weights
 
+model = DiscreteHMM(
+    initial=[0.5, 0.5],
+    transition=[[0.9, 0.1], [0.2, 0.8]],
+    likelihoods=[[1.0, 1.0], [2.0, 0.3]],
+)
 rng = np.random.default_rng(1)
+m = 200_000
+parents = rng.integers(0, 2, size=m)[:, None]  # each parent's last coordinate
+f = np.array([0.0, 1.0])  # f(y) = 1 when the new coordinate is state 1
+h = np.tile(f, (2, 1))  # f as a function of the (parent, child) path
 
-# --- importance sampling as a mutation -----------------------------------
-# Points drawn uniformly on {0, 1}; we want the tilted law (1/3, 2/3).
-# Reweighting by the density ratio does the job without moving anything.
-ratio = {0: (1 / 3) / 0.5, 1: (2 / 3) / 0.5}
-pair = reweighting_pair(lambda x: ratio[x])
-
-points = rng.integers(0, 2, size=100_000)
-tilted = mutate(equally_weighted(points.tolist()), pair, 1, rng)
-print("estimate of P(X=1) under the tilted law:", tilted.estimate(float))
-print("exact value:", 2 / 3)
+# --- exact unbiasedness ------------------------------------------------------
+# The conditional mean of an offspring's W * f, given its parent x, is the
+# target kernel applied to f: R(x, W f) = apply_rw(h, 1)[x].
+print("kind      parent   mean of W*f over offspring   R(x, W f) exact")
+kernels = {kind: step_kernel(model, 2, kind) for kind in ("prior", "optimal")}
+for kind, kernel in kernels.items():
+    carried, log_w = kernel.mutate(parents, rng)
+    wf = np.exp(log_w) * f[carried[:, -1]]
+    exact = kernel.apply_rw(h, 1)
+    for x in (0, 1):
+        mine = parents[:, 0] == x
+        print(f"{kind:8s}  {x:6d}   {wf[mine].mean():26.4f}   {exact[x]:15.4f}")
 print()
 
-# --- exact unbiasedness on an enumerable kernel --------------------------
-# proposal rows and a nonconstant weight table on {0, 1}
-proposal = np.array([[0.7, 0.3], [0.4, 0.6]])
-weight = np.array([[2.0, 0.5], [1.0, 3.0]])
-cum = np.cumsum(proposal, axis=1)
-
-kernel = MutationKernelPair(
-    propose=lambda r, x: int(min(np.searchsorted(cum[x], r.random() * cum[x][-1],
-                                                 side="right"), 1)),
-    weight=lambda x, y: float(weight[x, y]),
-    support=lambda x: [(j, float(proposal[x, j])) for j in range(2)],
-)
-
-# The conditional expectation of an offspring's weighted f equals the
-# target kernel applied to f -- here checked by direct averaging over many
-# draws against the exact enumeration.
-parent = 0
-f = lambda y: float(y == 1)
-exact = kernel.target_expectation(parent, f)
-
-offspring = [kernel.propose(rng, parent) for _ in range(200_000)]
-empirical = np.mean([kernel.weight(parent, y) * f(y) for y in offspring])
-print("target kernel applied to f (exact enumeration):", exact)
-print("empirical mean of W * f over offspring draws:  ", empirical)
-print()
-
-# --- multiple offspring ----------------------------------------------------
-# Three offspring per particle triple the sample size, parent-major order.
-sample = WeightedSample([0, 1], [0.4, 0.6])
-out = mutate(sample, kernel, 3, rng)
-print("input size 2, offspring count 3 -> output size", out.size)
-print("offspring weights:", np.round(out.weights, 3))
+# --- weight spread: prior vs optimal -----------------------------------------
+# Both proposals target the same law; the optimal one folds the likelihood
+# into the draw, so its weights depend on the parent only and spread less.
+print("kind      CV^2 of the weights   W values seen")
+for kind, kernel in kernels.items():
+    _, log_w = kernel.mutate(parents, rng)
+    weights = np.exp(log_w)
+    print(f"{kind:8s}  {cv2_of_weights(weights):19.4f}   {np.unique(weights.round(4))}")

@@ -10,16 +10,10 @@ and central-limit checks.
 """
 
 from ._version import __version__
-from .kernels import (
-    DiscreteDistribution,
-    MultiProposal,
-    MutationKernelPair,
-    reweighting_pair,
-)
-from .mutation import mutate, mutate_multi
 from .resampling import (
     MULTINOMIAL,
     RESIDUAL,
+    DiscreteDistribution,
     ResamplingPolicy,
     conditional_mean,
     conditional_variance,
@@ -67,14 +61,9 @@ from .weighted_sample import WeightedSample, equally_weighted
 
 __all__ = [
     "__version__",
-    "DiscreteDistribution",
-    "MultiProposal",
-    "MutationKernelPair",
-    "reweighting_pair",
-    "mutate",
-    "mutate_multi",
     "MULTINOMIAL",
     "RESIDUAL",
+    "DiscreteDistribution",
     "ResamplingPolicy",
     "conditional_mean",
     "conditional_variance",

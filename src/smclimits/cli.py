@@ -111,6 +111,18 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _numbers(value, path: str, depth: int) -> list:
+    """Finite numbers nested ``depth`` lists deep, each row as long as the first."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    if depth == 1:
+        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    rows = [_numbers(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value)]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{path}: rows of unequal length")
+    return rows
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return default_config()
@@ -182,6 +194,10 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
 
     pol = cfg["policy"]
     _require_keys(pol, "policy", (), ("scheme", "trigger", "kappa2", "ell"))
+    kappa2 = pol.get("kappa2", 0.0)
+    if kappa2 != "inf":
+        _number(kappa2, "policy.kappa2")
+    _number(pol.get("ell", 1.0), "policy.ell")
     try:
         policy = policy_from_dict(pol)
     except ValueError as exc:
@@ -218,21 +234,22 @@ def build_model(section: dict, horizon: int):
     obs_seed = _integer(section["obs_seed"], "model.obs_seed") if has_seed else None
     if section["type"] == "discrete_hmm":
         _require_keys(params, "model.parameters", ("initial", "transition"))
-        initial = np.array(params["initial"], dtype=float)
+        initial = _numbers(params["initial"], "model.parameters.initial", 1)
+        transition = _numbers(params["transition"], "model.parameters.transition", 2)
         if has_seed:
             table = random_likelihood_table(
                 horizon,
-                initial.size,
+                len(initial),
                 obs_seed,
                 low=_number(section.get("obs_low", 0.3), "model.obs_low"),
                 high=_number(section.get("obs_high", 3.0), "model.obs_high"),
             )
         else:
-            table = np.array(section["observations"], dtype=float)
+            table = np.array(_numbers(section["observations"], "model.observations", 2))
             if table.ndim != 2 or table.shape[0] < horizon:
                 raise ConfigError("model.observations: need one likelihood row per step")
         try:
-            return DiscreteHMM(initial, params["transition"], table)
+            return DiscreteHMM(initial, transition, table)
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
     if section["type"] == "linear_gaussian":
@@ -243,9 +260,7 @@ def build_model(section: dict, horizon: int):
         ]
         try:
             if has_obs:
-                obs = np.array(section["observations"], dtype=float)
-                if not np.all(np.isfinite(obs)):
-                    raise ConfigError("model.observations: expected finite numbers")
+                obs = _numbers(section["observations"], "model.observations", 1)
             else:
                 obs = LinearGaussianSSM(*coeffs, [0.0]).simulate_observations(horizon, obs_seed)
             return LinearGaussianSSM(*coeffs, obs)

@@ -11,18 +11,18 @@ The closed-form conditional mean/variance of the output average are exact
 given the input sample; the residual variance is never larger than the
 multinomial one.  The module also hosts the asymptotic quantities that
 govern the residual scheme's large-population variance: the limiting
-residual-mass weight and the limit of the deterministically copied part.
+residual-mass weight and the limit of the deterministically copied part,
+evaluated on a finitely supported :class:`DiscreteDistribution`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import DiscreteDistribution
 from .weighted_sample import Point, WeightedSample
 
 MULTINOMIAL = "multinomial"
@@ -221,6 +221,33 @@ def conditional_variance(
         var1 = float(np.sum(probs * vals * vals)) - mean * mean
         return (m_out - m_bar) * var1 / (m_out * m_out)
     raise ValueError(f"unknown resampling scheme {scheme!r}")
+
+
+@dataclass(frozen=True)
+class DiscreteDistribution:
+    """A finitely supported probability distribution, atoms of (value, prob)."""
+
+    atoms: tuple[tuple[Point, float], ...]
+
+    def __init__(self, atoms: Sequence[tuple[Point, float]]):
+        atoms = tuple((v, float(p)) for v, p in atoms)
+        probs = np.array([p for _, p in atoms])
+        if np.any(probs < 0.0):
+            raise ValueError("probabilities must be nonnegative")
+        if abs(float(np.sum(probs)) - 1.0) > 1e-12:
+            raise ValueError("probabilities must sum to 1")
+        object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def values(self) -> tuple:
+        return tuple(v for v, _ in self.atoms)
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return np.array([p for _, p in self.atoms])
+
+    def expect(self, f: Callable[[Point], float]) -> float:
+        return float(sum(p * f(v) for v, p in self.atoms))
 
 
 def residual_limit_weight(x: float) -> float:

@@ -23,11 +23,11 @@ Three proposal kernels are built in:
   Metropolis-Hastings move that leaves the previous smoothing law
   invariant, then extend as the prior kernel does.
 
-Each kind is defined once, by :func:`step_kernel`; the filter, the kernel
-pairs and the variance oracle all read that definition.  For discrete
-models everything is exactly enumerable, which the oracle modules rely
-on; a scalar linear-Gaussian model is included for continuous-state
-smoke tests with Kalman-filter reference values.
+Each kind is defined once, by :func:`step_kernel`; the filter and the
+variance oracle both read that definition.  For discrete models
+everything is exactly enumerable, which the oracle modules rely on; a
+scalar linear-Gaussian model is included for continuous-state smoke
+tests with Kalman-filter reference values.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import MutationKernelPair
 from .resampling import ResamplingPolicy, resample_indices
-from .weighted_sample import WeightedSample, cv2_of_weights, ess_of_weights
+from .weighted_sample import cv2_of_weights, ess_of_weights
 
 PRIOR = "prior"
 OPTIMAL = "optimal"
@@ -230,9 +229,8 @@ class StepKernel:
     """The proposal kernel R and weight W = dL/dR of the mutation into step k.
 
     This is the one definition of each proposal kind.  The filter samples
-    through :meth:`mutate`, :meth:`pair` is the per-particle kernel pair,
-    and the variance oracle contracts :meth:`apply_rw` and :meth:`push_w2`
-    over path space.
+    through :meth:`mutate`, and the variance oracle contracts
+    :meth:`apply_rw` and :meth:`push_w2` over path space.
 
     For discrete models ``prop[parent, child]`` is the law of the new
     coordinate given the parent's last one, and ``w`` is W with a length-1
@@ -296,12 +294,6 @@ class StepKernel:
             mean, var = model.ar_coeff * last, model.state_std**2 + model.obs_std**2
         return -0.5 * (y - mean) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
 
-    def _weight(self, last, new):
-        """W at (parent's last coordinate, new coordinate), elementwise."""
-        if self.w is None:
-            return np.exp(self._lgssm_log_weight(last, new))
-        return self.w.ravel()[new if self.w.shape[0] == 1 else last]
-
     def mutate(
         self, paths: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -341,31 +333,8 @@ class StepKernel:
             last = np.where(rng.random(m) < ratio, proposals, last)
         new = _rows_categorical(np.cumsum(self.prop, axis=1), last, rng)
         carried = np.stack([last, new], axis=1) if self.kind == RESAMPLE_MOVE else new[:, None]
-        return carried, np.log(self._weight(last, new))
-
-    def pair(self) -> MutationKernelPair:
-        """The per-particle kernel pair; ``propose`` runs :meth:`mutate` on one row."""
-
-        def propose(rng, x):
-            carried = self.mutate(np.array([x]), rng)[0][0].tolist()
-            return x[: len(x) + 1 - len(carried)] + tuple(carried)
-
-        def support(x):
-            if not self.has_move:
-                return [(x + (j,), float(p)) for j, p in enumerate(self.prop[x[-1]])]
-            joint = self.moves[x[-2], x[-1]][:, None] * self.prop
-            return [
-                (x[:-1] + (c, j), float(joint[c, j]))
-                for c, j in np.ndindex(joint.shape)
-                if joint[c, j] > 0.0
-            ]
-
-        return MutationKernelPair(
-            propose=propose,
-            weight=lambda x, y: float(self._weight(x[-1], y[-1])),
-            support=None if self.w is None else support,
-            degenerate_move=self.kind == RESAMPLE_MOVE and not self.has_move,
-        )
+        w = self.w.ravel()[new if self.w.shape[0] == 1 else last]
+        return carried, np.log(w)
 
     def apply_rw(self, h: np.ndarray, p: int) -> np.ndarray:
         """Map h over length-k paths to x -> R(x, W^p h) over length-(k-1) paths."""
@@ -389,8 +358,9 @@ def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> St
     extends with the transition tilted by g_k and weights by the tilt's
     normalizer, the predictive likelihood sum_j transition[x_{k-1}, j]
     g_k(j), which depends on the parent only.  ``resample_move`` moves the
-    parent's last coordinate first (from step 3 on; the pair is flagged
-    ``degenerate_move`` before that) and then extends as the prior does.
+    parent's last coordinate first and then extends as the prior does; at
+    step 2 there is no coordinate before the parent's, so no move is made
+    (``has_move`` is False) and the kernel is the prior's.
     """
     if not 2 <= k <= model.horizon:
         raise ValueError(f"step {k} outside 2..{model.horizon}")
@@ -551,10 +521,6 @@ class SmcTrace:
                 full = full[rec.ancestors]
             full = np.hstack([full[:, : rec.step - rec.paths.shape[1]], rec.paths])
         return full
-
-    def sample_at(self, step: int) -> WeightedSample:
-        particles = [tuple(row) for row in self.paths_at(step).tolist()]
-        return WeightedSample(particles, self.records[step - 1].weights)
 
     def terminal_estimate(self, f) -> float:
         """Weighted estimate of a terminal-coordinate function.

@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .enumeration import enumerated_moments
-from .kernels import DiscreteDistribution
 from .resampling import (
+    DiscreteDistribution,
     MULTINOMIAL,
     RESIDUAL,
     conditional_mean,

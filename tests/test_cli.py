@@ -324,6 +324,46 @@ class TestRejectedUpFront:
                 {"model": dict(_LGSSM, obs_seed=_DROP, observations=[0.1, _NAN, 0.2])},
                 "model.observations", id="lgssm-observation-nan",
             ),
+            pytest.param(
+                "verify-lln", {"policy": {"ell": "1.0"}}, "policy.ell: expected a finite",
+                id="ell-string",
+            ),
+            pytest.param(
+                "verify-lln", {"policy": {"ell": True}}, "policy.ell: expected a finite",
+                id="ell-bool",
+            ),
+            pytest.param(
+                "verify-lln", {"policy": {"kappa2": True}}, "policy.kappa2: expected a finite",
+                id="kappa2-bool",
+            ),
+            pytest.param(
+                "verify-lln", _hmm(initial=["0.5", 0.5]),
+                "model.parameters.initial[0]: expected a finite", id="initial-string",
+            ),
+            pytest.param(
+                "verify-lln", _hmm(initial=["x", 0.5]),
+                "model.parameters.initial[0]: expected a finite", id="initial-not-numeric",
+            ),
+            pytest.param(
+                "verify-lln", _hmm(initial=[[0.5], 0.5]),
+                "model.parameters.initial[0]: expected a finite", id="initial-ragged",
+            ),
+            pytest.param(
+                "verify-lln", _hmm(transition=[["0.9", 0.1], [0.2, 0.8]]),
+                "model.parameters.transition[0][0]: expected a finite", id="transition-string",
+            ),
+            pytest.param(
+                "verify-lln", _hmm(transition=[[0.9, 0.1], [1.0]]),
+                "model.parameters.transition: rows of unequal length", id="transition-ragged",
+            ),
+            pytest.param(
+                "verify-lln", {"model": {"obs_seed": _DROP, "observations": [["1.0", 2.0]] * 3}},
+                "model.observations[0][0]: expected a finite", id="likelihood-string",
+            ),
+            pytest.param(
+                "verify-lln", {"model": {"obs_seed": _DROP, "observations": [[1.0, 2.0], [1.0]]}},
+                "model.observations: rows of unequal length", id="likelihoods-ragged",
+            ),
         ],
     )
     def test_exit_two_and_no_output(self, tmp_path, capsys, command, patch, message):

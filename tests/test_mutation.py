@@ -1,98 +1,61 @@
-"""Tests for the mutation transformation, with joint-outcome enumeration oracles."""
+"""Tests for the mutation step, ``StepKernel.mutate``, with joint-outcome enumeration oracles."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from smclimits import (
-    MultiProposal,
-    MutationKernelPair,
-    WeightedSample,
-    equally_weighted,
-    mutate,
-    mutate_multi,
-    reweighting_pair,
+from smclimits import DiscreteHMM, step_kernel
+from smclimits.state_space import as_rng
+
+# a two-state model whose weights vary with the offspring at every step
+MODEL = DiscreteHMM(
+    [0.35, 0.65], [[0.7, 0.3], [0.4, 0.6]], [[1.0, 1.0], [2.0, 0.5], [0.8, 1.6]]
 )
 
 
-def _two_state_pair():
-    """An enumerable kernel on {0, 1}: proposal rows + a nonconstant weight."""
-    proposal = np.array([[0.7, 0.3], [0.4, 0.6]])
-    weight = np.array([[2.0, 0.5], [1.0, 3.0]])
-    cum = np.cumsum(proposal, axis=1)
-
-    def propose(rng, x):
-        row = cum[x]
-        return int(min(np.searchsorted(row, rng.random() * row[-1], side="right"), 1))
-
-    return MutationKernelPair(
-        propose=propose,
-        weight=lambda x, y: float(weight[x, y]),
-        support=lambda x: [(j, float(proposal[x, j])) for j in range(2)],
-    )
-
-
 class TestMutateBasics:
-    def test_identity_mutation(self, rng):
-        ws = WeightedSample([5, 6, 7], [0.1, 0.7, 0.2])
-        out = mutate(ws, reweighting_pair(lambda x: 1.0), 1, rng)
-        assert out.particles == ws.particles
-        assert np.array_equal(out.weights, ws.weights)
-
-    def test_duplication_with_dirac_proposal(self, rng):
-        ws = WeightedSample([5, 6], [0.25, 0.75])
-        out = mutate(ws, reweighting_pair(lambda x: 2.0), 2, rng)
-        assert out.particles == (5, 5, 6, 6)
-        assert np.allclose(out.weights, [0.5, 0.5, 1.5, 1.5])
-
-    def test_output_size(self, rng):
-        ws = equally_weighted([0, 1, 1, 0, 1])
-        for alpha in (1, 2, 3):
-            assert mutate(ws, _two_state_pair(), alpha, rng).size == 5 * alpha
-
-    def test_invalid_offspring_count(self, rng):
-        with pytest.raises(ValueError, match="invalid offspring count"):
-            mutate(equally_weighted([0]), _two_state_pair(), 0, rng)
-
-    def test_invalid_weight(self, rng):
-        bad = MutationKernelPair(propose=lambda r, x: x, weight=lambda x, y: float("nan"))
-        with pytest.raises(ValueError, match="invalid weight"):
-            mutate(equally_weighted([0]), bad, 1, rng)
+    def test_output_size(self):
+        # one offspring per parent; the path move also carries the moved coordinate
+        parents = np.array([[0, 1], [1, 1], [1, 0], [0, 0], [1, 1]])
+        for kind in ("prior", "optimal", "resample_move"):
+            carried, log_w = step_kernel(MODEL, 3, kind).mutate(parents, as_rng(0))
+            assert carried.shape == (5, 2 if kind == "resample_move" else 1)
+            assert log_w.shape == (5,)
 
     def test_deterministic_given_seed(self):
-        ws = equally_weighted([0, 1, 0])
-        pair = _two_state_pair()
-        a = mutate(ws, pair, 2, np.random.default_rng(np.random.SeedSequence(3)))
-        b = mutate(ws, pair, 2, np.random.default_rng(np.random.SeedSequence(3)))
-        assert a.particles == b.particles
-        assert np.array_equal(a.weights, b.weights)
+        kernel = step_kernel(MODEL, 3, "resample_move")
+        parents = np.array([[0, 1], [1, 0], [0, 0]] * 4)
+        a = kernel.mutate(parents, as_rng(3))
+        b = kernel.mutate(parents, as_rng(3))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
-    def test_weight_positivity_preserved(self, rng):
-        ws = WeightedSample([0, 1], [0.5, 0.5])
-        out = mutate(ws, _two_state_pair(), 3, rng)
-        assert np.all(out.weights > 0.0)
+    def test_weight_positivity_preserved(self):
+        parents = np.array([[0, 1], [1, 0]] * 50)
+        for kind in ("prior", "optimal", "resample_move"):
+            _, log_w = step_kernel(MODEL, 3, kind).mutate(parents, as_rng(1))
+            assert np.all(np.isfinite(log_w))
 
 
-def _joint_conditional_expectations(sample, supports, weight_fn, alpha, f):
-    """Per-parent E[sum of offspring weighted f] by enumerating every joint outcome.
+def _joint_conditional_expectations(kernel, parents, weights, f):
+    """Per-parent E[offspring weight * f(new coordinate)], enumerating every joint outcome.
 
-    ``supports[i][k]`` is the support enumeration used for offspring k of
-    parent i; the joint outcome space is their product.
+    Each parent draws its (moved coordinate, new coordinate) from the
+    kernel's tables; the joint outcome space is the product over parents.
     """
-    m = sample.size
-    slot_supports = [supports[i][k] for i in range(m) for k in range(alpha)]
-    totals = np.zeros(m)
-    for combo in itertools.product(*[range(len(s)) for s in slot_supports]):
-        prob = 1.0
-        contrib = np.zeros(m)
-        for slot, pick in enumerate(combo):
-            parent = slot // alpha
-            y, p = slot_supports[slot][pick]
-            prob *= p
-            x = sample.particles[parent]
-            contrib[parent] += sample.weights[parent] * weight_fn(x, y) * f(y)
-        totals += prob * contrib
+    n = kernel.prop.shape[0]
+    w_table = np.broadcast_to(kernel.w, kernel.prop.shape)  # W[moved coordinate, new]
+
+    def outcomes(x):
+        move = kernel.moves[x[-2], x[-1]] if kernel.has_move else np.eye(n)[x[-1]]
+        return [(c, j, move[c] * kernel.prop[c, j]) for c in range(n) for j in range(n)]
+
+    totals = np.zeros(len(parents))
+    for combo in itertools.product(*[outcomes(x) for x in parents]):
+        prob = np.prod([p for _, _, p in combo])
+        for i, (c, j, _) in enumerate(combo):
+            totals[i] += prob * weights[i] * w_table[c, j] * f(j)
     return totals
 
 
@@ -101,112 +64,38 @@ class TestMutationUnbiasedness:
         "f", [lambda y: 1.0, lambda y: float(y == 0), lambda y: float(y == 1), lambda y: float(y)]
     )
     def test_joint_enumeration_matches_target(self, f):
-        pair = _two_state_pair()
-        sample = WeightedSample([0, 1], [0.3, 0.7])
-        alpha = 2
-        supports = [[pair.support(x)] * alpha for x in sample.particles]
-        totals = _joint_conditional_expectations(
-            sample, supports, pair.weight, alpha, f
-        )
-        for i, x in enumerate(sample.particles):
-            expected = alpha * sample.weights[i] * pair.target_expectation(x, f)
-            assert totals[i] == pytest.approx(expected, abs=1e-12)
+        # the conditional expectation of each offspring's weighted f, given
+        # the parents, is its parent's weight times R(x, W f) = L(x, f)
+        parents = [(0, 1), (1, 0)]
+        weights = [0.3, 0.7]
+        for kind in ("prior", "optimal", "resample_move"):
+            kernel = step_kernel(MODEL, 3, kind)
+            totals = _joint_conditional_expectations(kernel, parents, weights, f)
+            h = np.broadcast_to([f(j) for j in range(2)], (2, 2, 2))  # f of the new coordinate
+            target = kernel.apply_rw(h, 1)
+            for i, x in enumerate(parents):
+                assert totals[i] == pytest.approx(weights[i] * target[x], abs=1e-12)
 
 
 class TestMutationConsistency:
     def test_estimates_converge_with_population_size(self):
-        # mutating i.i.d. equally weighted input targets nu L / nu L(1);
-        # the error of the weighted estimate shrinks at the Monte Carlo rate
-        pair = _two_state_pair()
+        # mutating an i.i.d. equally weighted sample from nu targets
+        # nu L / nu L(1); the weighted estimate's error shrinks at the Monte
+        # Carlo rate
+        kernel = step_kernel(MODEL, 2, "prior")
         nu = np.array([0.35, 0.65])
-        f = lambda y: float(y)
-        # exact target value by direct summation
-        num = sum(
-            nu[x] * pair.target_expectation(x, f) for x in range(2)
+        values = np.array([0.0, 1.0])
+        truth = float(nu @ kernel.apply_rw(np.tile(values, (2, 1)), 1)) / float(
+            nu @ kernel.apply_rw(np.ones((2, 2)), 1)
         )
-        den = sum(nu[x] * pair.target_mass(x) for x in range(2))
-        truth = num / den
         rmse = {}
         for m in (500, 8000):
             errs = []
             for r in range(40):
                 rng = np.random.default_rng(np.random.SeedSequence([15, m, r]))
-                points = rng.choice(2, size=m, p=nu)
-                out = mutate(equally_weighted(points.tolist()), pair, 1, rng)
-                errs.append(out.estimate(f) - truth)
+                parents = rng.choice(2, size=m, p=nu)[:, None]
+                carried, log_w = kernel.mutate(parents, rng)
+                w = np.exp(log_w)
+                errs.append(float(np.sum(w * values[carried[:, -1]])) / float(np.sum(w)) - truth)
             rmse[m] = float(np.sqrt(np.mean(np.square(errs))))
         assert rmse[8000] < rmse[500] / 2.0
-
-
-class TestMutateMulti:
-    def test_single_proposal_reduces_to_mutate(self):
-        pair = _two_state_pair()
-        multi = MultiProposal([pair], weight=pair.weight)
-        ws = WeightedSample([0, 1, 1], [0.2, 0.5, 0.3])
-        a = mutate(ws, pair, 1, np.random.default_rng(np.random.SeedSequence(9)))
-        b = mutate_multi(ws, multi, np.random.default_rng(np.random.SeedSequence(9)))
-        assert a.particles == b.particles
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_two_identical_proposals_match_two_offspring(self):
-        # conditional expectations agree with plain mutation at two offspring
-        pair = _two_state_pair()
-        multi = MultiProposal([pair, pair], weight=pair.weight)
-        sample = WeightedSample([0, 1], [0.4, 0.6])
-        f = lambda y: float(y)
-        supports = [
-            [p.support(x) for p in multi.proposals] for x in sample.particles
-        ]
-        totals_multi = _joint_conditional_expectations(
-            sample, supports, multi.weight, 2, f
-        )
-        supports_single = [[pair.support(x)] * 2 for x in sample.particles]
-        totals_single = _joint_conditional_expectations(
-            sample, supports_single, pair.weight, 2, f
-        )
-        assert np.allclose(totals_multi, totals_single, atol=1e-12)
-
-    def test_unbiased_for_average_kernel(self):
-        # two different proposals whose average carries the shared weight
-        left = np.array([[0.9, 0.1], [0.5, 0.5]])
-        right = np.array([[0.5, 0.5], [0.1, 0.9]])
-        avg = 0.5 * (left + right)
-        target = np.array([[0.6, 0.2], [0.3, 0.9]])  # a finite kernel, not normalized
-        weight_tab = target / avg
-
-        def mk(tab):
-            cum = np.cumsum(tab, axis=1)
-
-            def propose(rng, x):
-                row = cum[x]
-                return int(
-                    min(np.searchsorted(row, rng.random() * row[-1], side="right"), 1)
-                )
-
-            return MutationKernelPair(
-                propose=propose,
-                weight=lambda x, y: float(weight_tab[x, y]),
-                support=lambda x, t=tab: [(j, float(t[x, j])) for j in range(2)],
-            )
-
-        multi = MultiProposal(
-            [mk(left), mk(right)], weight=lambda x, y: float(weight_tab[x, y])
-        )
-        sample = WeightedSample([0, 1], [0.25, 0.75])
-        for f in (lambda y: 1.0, lambda y: float(y == 0), lambda y: float(y)):
-            supports = [
-                [p.support(x) for p in multi.proposals] for x in sample.particles
-            ]
-            totals = _joint_conditional_expectations(sample, supports, multi.weight, 2, f)
-            for i, x in enumerate(sample.particles):
-                direct = 2.0 * sample.weights[i] * sum(
-                    target[x, j] * f(j) for j in range(2)
-                )
-                assert totals[i] == pytest.approx(direct, abs=1e-12)
-
-    def test_layout_parent_major(self):
-        pair = reweighting_pair(lambda x: 1.0)
-        multi = MultiProposal([pair, pair], weight=pair.weight)
-        ws = WeightedSample(["a", "b"], [1.0, 2.0])
-        out = mutate_multi(ws, multi, np.random.default_rng(1))
-        assert out.particles == ("a", "a", "b", "b")

@@ -236,6 +236,20 @@ class TestLimitWeight:
             residual_limit_weight(-1.5)
 
 
+class TestDiscreteDistribution:
+    def test_probabilities_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            DiscreteDistribution([(0.5, 0.4), (2.0, 0.4)])
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteDistribution([(0.5, -0.1), (2.0, 1.1)])
+
+    def test_expect(self):
+        dist = DiscreteDistribution([(0.5, 0.25), (2.0, 0.75)])
+        assert dist.expect(lambda v: v) == pytest.approx(1.625, rel=1e-15)
+
+
 class TestRegularityCheck:
     def test_integer_mass_atom_detected(self):
         # the two-point law whose heavier value sits exactly on an integer

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,8 @@ from smclimits import (
     DiscreteHMM,
     LinearGaussianSSM,
     ResamplingPolicy,
-    equally_weighted,
     exact_joint_smoothing,
     forward_backward_marginals,
-    mutate,
     smc_run,
     smc_step,
     step_kernel,
@@ -72,54 +71,53 @@ class TestModelValidation:
             LinearGaussianSSM(*coeffs, [0.0])
 
 
+def _offspring(kernel, parent, count: int, seed: int = 0):
+    """The carried columns and the weights W of ``count`` copies of one parent path."""
+    carried, log_w = kernel.mutate(np.tile(np.asarray(parent), (count, 1)), as_rng(seed))
+    return carried, np.exp(log_w)
+
+
 class TestPriorProposal:
     def test_support_matches_transition_rows(self, small_model):
-        pair = step_kernel(small_model, 2, "prior").pair()
-        for x in [(0,), (1,)]:
-            support = dict(pair.support(x))
-            for j in range(2):
-                assert support[x + (j,)] == pytest.approx(
-                    small_model.transition[x[-1], j], abs=1e-12
-                )
+        kernel = step_kernel(small_model, 2, "prior")
+        assert np.array_equal(kernel.prop, small_model.transition)
 
     def test_constant_likelihood_gives_equal_weights(self):
         flat = DiscreteHMM(
             [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [0.7, 0.7]]
         )
-        pair = step_kernel(flat, 2, "prior").pair()
-        rng = as_rng(0)
-        out = mutate(equally_weighted([(0,), (1,), (0,)]), pair, 1, rng)
-        assert np.allclose(out.weights, 0.7)
-        assert cv2_of_weights(out.weights) == 0.0
+        _, log_w = step_kernel(flat, 2, "prior").mutate(np.array([[0], [1], [0]]), as_rng(0))
+        weights = np.exp(log_w)
+        assert np.allclose(weights, 0.7)
+        assert cv2_of_weights(weights) == 0.0
 
 
 class TestOptimalProposal:
     def test_weight_constant_over_offspring(self, small_model):
-        pair = step_kernel(small_model, 2, "optimal").pair()
-        for x in [(0,), (1,)]:
-            weights = {pair.weight(x, y) for y, _ in pair.support(x)}
-            assert len(weights) == 1
+        kernel = step_kernel(small_model, 2, "optimal")
+        for x in (0, 1):
+            carried, weights = _offspring(kernel, [x], 1000, seed=x)
+            assert set(carried[:, -1].tolist()) == {0, 1}
+            assert np.all(weights == weights[0])
 
     def test_hand_computed_values(self):
         model = DiscreteHMM(
             [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [2.0, 0.5]]
         )
-        pair = step_kernel(model, 2, "optimal").pair()
-        x = (0,)
-        assert pair.weight(x, x + (0,)) == pytest.approx(1.85, abs=1e-15)
-        support = dict(pair.support(x))
-        assert support[x + (0,)] == pytest.approx(1.8 / 1.85, abs=1e-12)
-        assert support[x + (1,)] == pytest.approx(0.05 / 1.85, abs=1e-12)
+        kernel = step_kernel(model, 2, "optimal")
+        _, weights = _offspring(kernel, [0], 100)
+        assert weights == pytest.approx(np.full(100, 1.85), abs=1e-15)
+        assert kernel.prop[0, 0] == pytest.approx(1.8 / 1.85, abs=1e-12)
+        assert kernel.prop[0, 1] == pytest.approx(0.05 / 1.85, abs=1e-12)
 
     def test_flat_likelihood_reduces_to_prior(self, small_model):
         flat = DiscreteHMM(
             [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [1.0, 1.0]]
         )
-        opt = step_kernel(flat, 2, "optimal").pair()
-        pri = step_kernel(flat, 2, "prior").pair()
-        for x in [(0,), (1,)]:
-            assert dict(opt.support(x)) == pytest.approx(dict(pri.support(x)), abs=1e-12)
-            assert opt.weight(x, x + (0,)) == pytest.approx(1.0, abs=1e-15)
+        opt = step_kernel(flat, 2, "optimal")
+        pri = step_kernel(flat, 2, "prior")
+        assert opt.prop == pytest.approx(pri.prop, abs=1e-12)
+        assert opt.w == pytest.approx(np.ones((2, 1)), abs=1e-15)
 
 
 class TestResampleMoveProposal:
@@ -142,11 +140,19 @@ class TestResampleMoveProposal:
             assert np.allclose(target @ mats[e], target, atol=1e-12)
 
     def test_short_path_degenerates_with_flag(self, small_model):
-        pair = step_kernel(small_model, 2, "resample_move").pair()
-        assert pair.degenerate_move
-        pri = step_kernel(small_model, 2, "prior").pair()
-        for x in [(0,), (1,)]:
-            assert dict(pair.support(x)) == pytest.approx(dict(pri.support(x)), abs=1e-15)
+        # at step 2 there is no coordinate before the parent's to condition
+        # the move on: the kernel makes no move and extends as the prior does
+        kernel = step_kernel(small_model, 2, "resample_move")
+        assert kernel.has_move is False
+        assert kernel.moves is None
+        pri = step_kernel(small_model, 2, "prior")
+        assert np.array_equal(kernel.prop, pri.prop) and np.array_equal(kernel.w, pri.w)
+        parents = np.array([[0], [1], [1], [0]])
+        carried, log_w = kernel.mutate(parents, as_rng(3))
+        pri_carried, pri_log_w = pri.mutate(parents, as_rng(3))
+        assert np.array_equal(carried[:, 0], parents[:, 0])
+        assert np.array_equal(carried[:, 1:], pri_carried)
+        assert np.array_equal(log_w, pri_log_w)
 
 
 def _random_hmm(seed: int, n: int) -> DiscreteHMM:
@@ -160,8 +166,45 @@ def _random_hmm(seed: int, n: int) -> DiscreteHMM:
     return DiscreteHMM(rng.dirichlet(np.ones(n)), q, rng.uniform(0.3, 3.0, size=(4, n)))
 
 
+def _independent_target_expectation(model, k, kind, x, f):
+    """The target kernel applied to f, written with bare loops.
+
+    The one-step target always extends the path through the transition and
+    tilts by the likelihood; the path move composes that with its own
+    transition matrix on the last coordinate.
+    """
+    q = model.transition
+    g = model.likelihoods[k - 1]
+    n = model.n_states
+    if kind in ("prior", "optimal") or k == 2:
+        return sum(q[x[-1], j] * g[j] * f(x + (j,)) for j in range(n))
+    mats = step_kernel(model, k, "resample_move").moves
+    total = 0.0
+    for m in range(n):
+        for j in range(n):
+            total += mats[x[-2], x[-1], m] * q[m, j] * g[j] * f(x[:-1] + (m, j))
+    return total
+
+
+def _chi2_statistic(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Pearson's statistic and its degrees of freedom, pooling cells expected below 5.
+
+    An outcome of probability 0 must never be drawn.
+    """
+    assert not np.any(counts[expected == 0.0])
+    small = expected < 5.0
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] < 5.0:  # the pooled cell is still small: fold it into the largest
+        largest = np.argmax(exp)
+        obs[largest] += obs[-1]
+        exp[largest] += exp[-1]
+        obs, exp = obs[:-1], exp[:-1]
+    return float(np.sum((obs - exp) ** 2 / exp)), exp.size - 1
+
+
 class TestStepKernel:
-    """The pair, the sampler and the oracle operators read one kernel."""
+    """The sampler and the oracle operators read one kernel."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -171,20 +214,37 @@ class TestStepKernel:
         kind=st.sampled_from(PROPOSAL_KINDS),
         k=st.sampled_from([2, 3, 4]),
     )
-    def test_pair_sampler_and_oracle_agree(self, model_seed, draw_seed, n, kind, k):
+    def test_sampler_and_oracle_agree(self, model_seed, draw_seed, n, kind, k):
         model = _random_hmm(model_seed, n)
         kernel = step_kernel(model, k, kind)
-        pair = kernel.pair()
+        # each row of R sums to 1, and R(x, W h) is the target kernel applied to h
+        assert kernel.apply_rw(np.ones((n,) * k), 0) == pytest.approx(1.0, abs=1e-12)
         h = np.random.default_rng(draw_seed).normal(size=(n,) * k)
         rw = kernel.apply_rw(h, 1)
-        for x in itertools.product(range(n), repeat=k - 1):
-            assert sum(p for _, p in pair.support(x)) == pytest.approx(1.0, abs=1e-12)
-            assert pair.target_expectation(x, lambda y: h[y]) == pytest.approx(
-                rw[x], abs=1e-12
+        parents = list(itertools.product(range(n), repeat=k - 1))
+        for x in parents:
+            assert rw[x] == pytest.approx(
+                _independent_target_expectation(model, k, kind, x, lambda y: h[y]), abs=1e-12
             )
-            drawn = pair.propose(np.random.default_rng(draw_seed), x)
-            carried, _ = kernel.mutate(np.array([x]), np.random.default_rng(draw_seed))
-            assert drawn == x[: k - carried.shape[1]] + tuple(carried[0].tolist())
+        # the sampler's draws, on a pinned seed, follow R: the new coordinate
+        # from prop, and behind the path move the moved coordinate from moves
+        draws = 4000
+        carried, _ = kernel.mutate(np.repeat(np.array(parents), draws, axis=0), as_rng(0))
+        statistic, dof = 0.0, 0
+        for i, x in enumerate(parents):
+            outcomes = carried[i * draws : (i + 1) * draws]
+            if kernel.has_move:
+                law = kernel.moves[x[-2], x[-1]][:, None] * kernel.prop
+                cells = outcomes[:, 0] * n + outcomes[:, 1]
+            else:
+                law = kernel.prop[x[-1]]
+                cells = outcomes[:, -1]
+                assert np.all(outcomes[:, :-1] == x[-1])  # the parent's coordinate stays
+            counts = np.bincount(cells, minlength=law.size)
+            part, part_dof = _chi2_statistic(counts, draws * law.ravel())
+            statistic, dof = statistic + part, dof + part_dof
+        if dof:
+            assert scipy.stats.chi2.sf(statistic, dof) > 1e-6
 
     def test_moves_built_on_first_read(self, small_model):
         kernel = step_kernel(small_model, 3, "resample_move")
@@ -463,11 +523,13 @@ class TestFilter:
         assert all(rec.resampled for rec in trace.records[1:])
         assert np.array_equal(trace.current.weights, np.ones(40))
 
-    def test_sample_at_materializes_paths(self, small_model):
+    def test_paths_at_materializes_paths(self, small_model):
         trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="never"), 10, 2)
-        ws = trace.sample_at(3)
-        assert len(ws) == 10
-        assert all(isinstance(p, tuple) and len(p) == 3 for p in ws.particles)
+        paths = trace.paths_at(3)
+        assert paths.shape == (10, 3)
+        # without selection each particle keeps its own history
+        for rec in trace.records[:3]:
+            assert np.array_equal(paths[:, rec.step - 1], rec.paths[:, -1])
 
 
 class TestLinearGaussian:
@@ -505,8 +567,8 @@ class TestLinearGaussian:
 
     @pytest.mark.parametrize("kind", ["prior", "optimal"])
     def test_kernel_pairs_target_next_filter_law(self, kind):
-        # one generic mutation from an exact first-filter sample targets the
-        # second filter law; the Kalman recursion provides the exact mean
+        # one mutation of an exact first-filter sample, weighted by W, targets
+        # the second filter law; the Kalman recursion provides the exact mean
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2])
         means, variances = model.kalman_filter()
         rng = np.random.default_rng(np.random.SeedSequence(55))
@@ -515,16 +577,16 @@ class TestLinearGaussian:
         post_var = v0 * tau2 / (v0 + tau2)
         post_mean = v0 * model.observations[0] / (v0 + tau2)
         m = 60_000
-        first = equally_weighted(
-            [(float(x),) for x in post_mean + math.sqrt(post_var) * rng.standard_normal(m)]
-        )
-        pair = step_kernel(model, 2, kind).pair()
-        out = mutate(first, pair, 1, rng)
-        est = out.estimate(lambda p: p[-1])
+        first = post_mean + math.sqrt(post_var) * rng.standard_normal(m)
+        carried, log_w = step_kernel(model, 2, kind).mutate(first[:, None], rng)
+        weights = np.exp(log_w)
+        est = float(np.sum(weights * carried[:, -1])) / float(np.sum(weights))
         assert est == pytest.approx(means[1], abs=5 * math.sqrt(variances[1] / m) + 0.01)
 
     def test_optimal_pair_weight_depends_on_parent_only(self):
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2])
-        pair = step_kernel(model, 2, "optimal").pair()
-        parent = (0.3,)
-        assert pair.weight(parent, parent + (5.0,)) == pair.weight(parent, parent + (-5.0,))
+        kernel = step_kernel(model, 2, "optimal")
+        for parent in (0.3, -1.2):
+            carried, weights = _offspring(kernel, [parent], 50)
+            assert np.ptp(carried[:, -1]) > 0.0
+            assert np.all(weights == weights[0])
