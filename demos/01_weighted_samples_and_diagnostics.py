@@ -14,8 +14,10 @@ rng = np.random.default_rng(0)
 # A tilted sample: five points with very unequal weights.
 sample = WeightedSample(particles=[0.0, 1.0, 2.0, 3.0, 4.0],
                         weights=[0.05, 0.1, 0.2, 0.4, 3.0])
+# Estimates take f as its values at the particles: here f(x) = x.
+x = np.array(sample.particles)
 
-print("weighted mean of f(x) = x:", sample.estimate(lambda x: x))
+print("weighted mean of f(x) = x:", sample.estimate(x))
 print("effective sample size:    ", sample.ess(), "out of", sample.size)
 print("squared CV of weights:    ", sample.cv2())
 print("largest weight fraction:  ", sample.max_weight_fraction())
@@ -29,7 +31,7 @@ print()
 # only the normalized weights matter.
 for scale in (1e-6, 1.0, 1e6):
     scaled = sample.rescaled(scale)
-    print(f"scale {scale:>8.0e}: mean {scaled.estimate(lambda x: x):.6f} "
+    print(f"scale {scale:>8.0e}: mean {scaled.estimate(x):.6f} "
           f"ess {scaled.ess():.4f} cv2 {scaled.cv2():.4f}")
 print()
 
@@ -43,4 +45,4 @@ print("one survivor, M=8:   ess =",
 # estimate.
 normalized = sample.normalize()
 print("\nafter normalize(): total =", normalized.total,
-      " mean unchanged:", normalized.estimate(lambda x: x))
+      " mean unchanged:", normalized.estimate(x))

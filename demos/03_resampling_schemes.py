@@ -7,6 +7,9 @@ their large-population behavior, where the residual scheme's limit is
 governed by the residual-mass weight 1 - floor(x)/x -- provided no atom's
 expected copy count x sits exactly on an integer.  The final section
 reproduces what goes wrong when one does.
+
+The moment functions take f as its values at the particles, f_values:
+shape (m,) for one function, or (k, m) for k functions in one call.
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ rng = np.random.default_rng(2)
 
 # --- conditional moments ---------------------------------------------------
 sample = WeightedSample([0.0, 1.0, 2.0], [0.55, 0.25, 0.2])
-f = lambda p: float(p)
+f = np.array(sample.particles)  # f(x) = x, as its values at the particles
 m_out = 10
 
 floors, probs, m_bar = residual_counts(sample, m_out)
@@ -37,17 +40,21 @@ for scheme in (MULTINOMIAL, RESIDUAL):
     var = conditional_variance(scheme, sample, f, m_out)
     print(f"{scheme:12s} conditional mean {mean:.6f} variance {var:.6f}")
 print("input weighted estimate:   ", sample.estimate(f))
+# several functions at once: x and x^2 as two rows, one residual allocation
+print("residual conditional means of x and x^2:",
+      conditional_mean(RESIDUAL, sample, np.vstack([f, f * f]), m_out))
 print()
 
 # --- the variance ordering, over random inputs ------------------------------
 worst = -np.inf
 for _ in range(500):
     m = int(rng.integers(2, 7))
-    ws = WeightedSample([float(v) for v in rng.normal(size=m)],
+    values = rng.normal(size=m)
+    ws = WeightedSample([float(v) for v in values],
                         np.exp(rng.uniform(-3, 3, size=m)))
     k = int(rng.integers(1, 7))
-    worst = max(worst, conditional_variance(RESIDUAL, ws, f, k)
-                - conditional_variance(MULTINOMIAL, ws, f, k))
+    worst = max(worst, conditional_variance(RESIDUAL, ws, values, k)
+                - conditional_variance(MULTINOMIAL, ws, values, k))
 print("largest residual-minus-multinomial variance gap over 500 inputs:", worst)
 print("(never positive: the residual scheme cannot lose)")
 print()

@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -330,19 +331,30 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+def _timed_suite(suite, **kwargs) -> dict:
+    """Run one verification suite and log its elapsed time."""
+    start = time.perf_counter()
+    report = suite(**kwargs)
+    log.info("%s suite took %.3f s", report["suite"], time.perf_counter() - start)
+    return report
+
+
 def cmd_verify_resampling(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     tol = cfg.get("tolerances", {})
     _require_keys(
         tol, "tolerances", (), ("enumeration", "variance_slack", "limit_weight_rel")
     )
     suites = [
-        unbiasedness_suite(
-            seed=experiment.seed, tolerance=float(tol.get("enumeration", 1e-12))
+        _timed_suite(
+            unbiasedness_suite,
+            seed=experiment.seed, tolerance=float(tol.get("enumeration", 1e-12)),
         ),
-        variance_ordering_suite(
-            seed=experiment.seed + 1, slack=float(tol.get("variance_slack", 1e-12))
+        _timed_suite(
+            variance_ordering_suite,
+            seed=experiment.seed + 1, slack=float(tol.get("variance_slack", 1e-12)),
         ),
-        limit_weight_suite(
+        _timed_suite(
+            limit_weight_suite,
             seed=experiment.seed + 2,
             rel_tolerance=float(tol.get("limit_weight_rel", 0.02)),
         ),

@@ -5,51 +5,66 @@ together with its probability, so conditional moments of the output
 average are computed here by literally summing over the outcome space.
 Nothing in this module uses the closed-form moment formulas: it is the
 independent route the closed forms are checked against.
+
+f enters as its values at the particles, ``f_values`` of shape (m,), or
+(k, m) for k functions: the outcomes and their probabilities are then
+listed once for all k.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .resampling import MULTINOMIAL, RESIDUAL, _residual_alloc
-from .weighted_sample import WeightedSample
+from .weighted_sample import WeightedSample, f_value_rows
 
 
+@lru_cache(maxsize=None)
 def _all_tuples(n_values: int, length: int) -> np.ndarray:
-    """All index tuples of the given length, as a (n_values**length, length) array."""
+    """All index tuples of the given length, as a read-only (n_values**length, length) array."""
     if length == 0:
-        return np.empty((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(n_values)] * length), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+        out = np.empty((1, 0), dtype=np.int64)
+    else:
+        grids = np.meshgrid(*([np.arange(n_values)] * length), indexing="ij")
+        out = np.stack([g.ravel() for g in grids], axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def enumerated_moments(
-    scheme: str, sample: WeightedSample, f_values: np.ndarray, m_out: int
-) -> tuple[float, float]:
+    scheme: str, sample: WeightedSample, f_values, m_out: int
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Exact conditional mean and variance of the output average of f.
 
-    ``f_values`` are the f evaluations at the input particles, in order.
+    ``f_values`` are the f evaluations at the input particles, in order,
+    shape (m,) or (k, m); a (k, m) input gives k means and k variances.
     Every outcome of the scheme is enumerated, so the input must be small
     (the outcome count is m**m_out for multinomial and m**(residual
     draws) for the residual scheme).
     """
-    f_values = np.asarray(f_values, dtype=float)
+    vals, one = f_value_rows(f_values, sample.size)
     m = sample.size
     if scheme == MULTINOMIAL:
         p = sample.weights / sample.total
         outcomes = _all_tuples(m, m_out)
         probs = np.prod(p[outcomes], axis=1)
-        averages = np.mean(f_values[outcomes], axis=1)
+        averages = np.mean(vals[:, outcomes], axis=2)
     elif scheme == RESIDUAL:
         floors, probs_res, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
-        deterministic = float(np.sum(floors * f_values))
+        deterministic = np.sum(floors * vals, axis=1)
         if probs_res is None:
-            return deterministic / m_out, 0.0
+            means, variances = deterministic / m_out, np.zeros(vals.shape[0])
+            return (float(means[0]), 0.0) if one else (means, variances)
         outcomes = _all_tuples(m, m_out - m_bar)
         probs = np.prod(probs_res[outcomes], axis=1)
-        averages = (deterministic + np.sum(f_values[outcomes], axis=1)) / m_out
+        averages = (deterministic[:, None] + np.sum(vals[:, outcomes], axis=2)) / m_out
     else:
         raise ValueError(f"unknown resampling scheme {scheme!r}")
-    mean = float(np.dot(probs, averages))
-    second = float(np.dot(probs, averages * averages))
-    return mean, second - mean * mean
+    # one contiguous row per function: np.dot rounds a strided row differently
+    averages = np.ascontiguousarray(averages)
+    means = np.array([float(np.dot(probs, row)) for row in averages])
+    seconds = np.array([float(np.dot(probs, row * row)) for row in averages])
+    variances = seconds - means * means
+    return (float(means[0]), float(variances[0])) if one else (means, variances)

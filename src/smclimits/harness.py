@@ -25,9 +25,10 @@ import json
 import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -340,6 +341,17 @@ class ExperimentReport:
         return {"truths": self.truths, "aggregates": self.aggregates}
 
 
+def _collect(rows: Iterable[dict], replicates: int, start: float) -> list[dict]:
+    """The rows in task order, logging as the last replicate of each particle count arrives."""
+    out = []
+    for row in rows:
+        out.append(row)
+        if row["replicate"] == replicates - 1:
+            log.info("m=%d: %d replicates done at %.2f s", row["m"], replicates,
+                     time.perf_counter() - start)
+    return out
+
+
 def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run every (particle count, replicate) pair and aggregate.
 
@@ -353,6 +365,7 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         for m in config.particle_counts
         for r in range(config.replicates)
     ]
+    start = time.perf_counter()
     if workers > 1:
         # a pool starts all its processes at once: no more than the tasks or cores
         size = min(workers, len(tasks), os.cpu_count() or 1)
@@ -360,12 +373,12 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
             with ProcessPoolExecutor(max_workers=size) as pool:
                 # one replicate per task: cost grows with the particle count,
                 # so chunks of several leave a worker idle at the end
-                rows = list(pool.map(_replicate_row, tasks))
+                rows = _collect(pool.map(_replicate_row, tasks), config.replicates, start)
         except OSError as exc:  # no subprocess support: same result serially
             log.warning("process pool unavailable (%s); running replicates serially", exc)
-            rows = [_replicate_row(t) for t in tasks]
+            rows = _collect(map(_replicate_row, tasks), config.replicates, start)
     else:
-        rows = [_replicate_row(t) for t in tasks]
+        rows = _collect(map(_replicate_row, tasks), config.replicates, start)
     return ExperimentReport(
         truths=truths,
         rows=rows,
@@ -523,11 +536,10 @@ def summarize_counterexample(values: np.ndarray, half_width: float = 0.05) -> di
     n = values.size
     low = float(np.mean(np.abs(values - 2.0 / 3.0) <= half_width))
     high = float(np.mean(np.abs(values - 4.0 / 3.0) <= half_width))
-    window = 2.0 * half_width
-    best = 0
-    for i, v in enumerate(values):
-        j = int(np.searchsorted(values, v + window, side="right"))
-        best = max(best, j - i)
+    # the window [v, v + width] starting at each sorted value holds the
+    # values up to its right edge's insertion point
+    ends = np.searchsorted(values, values + 2.0 * half_width, side="right")
+    best = int(np.max(ends - np.arange(n)))
     return {
         "n": int(n),
         "mass_at_low_atom": low,

@@ -9,10 +9,13 @@ average of any f equals the input weighted estimate of f.
 
 The closed-form conditional mean/variance of the output average are exact
 given the input sample; the residual variance is never larger than the
-multinomial one.  The module also hosts the asymptotic quantities that
-govern the residual scheme's large-population variance: the limiting
-residual-mass weight and the limit of the deterministically copied part,
-evaluated on a finitely supported :class:`DiscreteDistribution`.
+multinomial one.  They take f as its values at the particles, ``f_values``
+of shape (m,), or (k, m) for k functions at once: one residual allocation
+then serves all k, and each row gets the arithmetic of a one-row call.
+The module also hosts the asymptotic quantities that govern the residual
+scheme's large-population variance: the limiting residual-mass weight and
+the limit of the deterministically copied part, evaluated on a finitely
+supported :class:`DiscreteDistribution`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .weighted_sample import Point, WeightedSample
+from .weighted_sample import Point, WeightedSample, f_value_rows
 
 MULTINOMIAL = "multinomial"
 RESIDUAL = "residual"
@@ -168,59 +171,60 @@ def resample(
     return WeightedSample([sample.particles[i] for i in idx], np.ones(m_out))
 
 
-def _f_values(sample: WeightedSample, f: Callable[[Point], float]) -> np.ndarray:
-    vals = np.fromiter((f(p) for p in sample.particles), dtype=float, count=sample.size)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand")
-    return vals
-
-
 def conditional_mean(
-    scheme: str, sample: WeightedSample, f: Callable[[Point], float], m_out: int
-) -> float:
+    scheme: str, sample: WeightedSample, f_values, m_out: int
+) -> float | np.ndarray:
     """Exact conditional expectation of the output average of f.
 
-    For any unbiased scheme this equals the input weighted estimate; the
-    closed forms below make that explicit for both schemes (and are cross
-    checked against full outcome enumeration in the test-suite).
+    ``f_values`` are f at the particles, shape (m,) or (k, m); a (k, m)
+    input gives k means from one residual allocation.  For any unbiased
+    scheme this equals the input weighted estimate; the closed forms below
+    make that explicit for both schemes (and are cross checked against
+    full outcome enumeration in the test-suite).
     """
-    vals = _f_values(sample, f)
+    vals, one = f_value_rows(f_values, sample.size)
     if scheme == MULTINOMIAL:
-        return float(np.sum(sample.weights * vals)) / sample.total
-    if scheme == RESIDUAL:
+        mean = np.sum(sample.weights * vals, axis=1) / sample.total
+    elif scheme == RESIDUAL:
         floors, probs, m_bar = residual_counts(sample, m_out)
-        det = float(np.sum(floors * vals))
+        det = np.sum(floors * vals, axis=1)
         if probs is None:
-            return det / m_out
-        return (det + (m_out - m_bar) * float(np.sum(probs * vals))) / m_out
-    raise ValueError(f"unknown resampling scheme {scheme!r}")
+            mean = det / m_out
+        else:
+            mean = (det + (m_out - m_bar) * np.sum(probs * vals, axis=1)) / m_out
+    else:
+        raise ValueError(f"unknown resampling scheme {scheme!r}")
+    return float(mean[0]) if one else mean
 
 
 def conditional_variance(
-    scheme: str, sample: WeightedSample, f: Callable[[Point], float], m_out: int
-) -> float:
+    scheme: str, sample: WeightedSample, f_values, m_out: int
+) -> float | np.ndarray:
     """Exact conditional variance of the output average of f.
 
-    Multinomial: the draws are i.i.d. from the normalized weights, so the
-    variance is their f-variance divided by m_out.  Residual: only the
-    residual stage is random; its m_out - m_bar i.i.d. draws from the
-    fractional-part probabilities give
-    (m_out - m_bar) * Var_probs(f) / m_out^2, which never exceeds the
-    multinomial value.
+    ``f_values`` as in :func:`conditional_mean`.  Multinomial: the draws
+    are i.i.d. from the normalized weights, so the variance is their
+    f-variance divided by m_out.  Residual: only the residual stage is
+    random; its m_out - m_bar i.i.d. draws from the fractional-part
+    probabilities give (m_out - m_bar) * Var_probs(f) / m_out^2, which
+    never exceeds the multinomial value.
     """
-    vals = _f_values(sample, f)
+    vals, one = f_value_rows(f_values, sample.size)
     if scheme == MULTINOMIAL:
         p = sample.weights / sample.total
-        mean = float(np.sum(p * vals))
-        return (float(np.sum(p * vals * vals)) - mean * mean) / m_out
-    if scheme == RESIDUAL:
+        mean = np.sum(p * vals, axis=1)
+        var = (np.sum(p * vals * vals, axis=1) - mean * mean) / m_out
+    elif scheme == RESIDUAL:
         floors, probs, m_bar = residual_counts(sample, m_out)
         if probs is None:
-            return 0.0
-        mean = float(np.sum(probs * vals))
-        var1 = float(np.sum(probs * vals * vals)) - mean * mean
-        return (m_out - m_bar) * var1 / (m_out * m_out)
-    raise ValueError(f"unknown resampling scheme {scheme!r}")
+            var = np.zeros(vals.shape[0])
+        else:
+            mean = np.sum(probs * vals, axis=1)
+            var1 = np.sum(probs * vals * vals, axis=1) - mean * mean
+            var = (m_out - m_bar) * var1 / (m_out * m_out)
+    else:
+        raise ValueError(f"unknown resampling scheme {scheme!r}")
+    return float(var[0]) if one else var
 
 
 @dataclass(frozen=True)

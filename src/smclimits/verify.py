@@ -78,10 +78,9 @@ def _random_weight_vectors(seed: int, n_cases: int, max_m: int) -> list[np.ndarr
     return out
 
 
-def _test_functions(m: int) -> list[np.ndarray]:
-    fns = [np.eye(m)[i] for i in range(m)]
-    fns.append(np.array(_PARTICLE_VALUES[:m]))
-    return fns
+def _test_functions(m: int) -> np.ndarray:
+    """One row of f values per test function: each indicator, then the coordinate."""
+    return np.vstack([np.eye(m), _PARTICLE_VALUES[:m]])
 
 
 def unbiasedness_suite(
@@ -107,14 +106,19 @@ def unbiasedness_suite(
         m = w.size
         sample = WeightedSample(_PARTICLE_VALUES[:m], w)
         f_tables = _test_functions(m)
+        estimates = sample.estimate(f_tables).tolist()
         for m_out in range(1, max_m_out + 1):
             for scheme in (MULTINOMIAL, RESIDUAL):
-                for fi, table in enumerate(f_tables):
-                    f = lambda p, t=table, s=sample: float(t[s.particles.index(p)])
-                    est = sample.estimate(f)
-                    mean_enum, var_enum = enumerated_moments(scheme, sample, table, m_out)
-                    mean_closed = conditional_mean(scheme, sample, f, m_out)
-                    var_closed = conditional_variance(scheme, sample, f, m_out)
+                # one call per weight vector, output size and scheme serves every function
+                means_enum, vars_enum = enumerated_moments(scheme, sample, f_tables, m_out)
+                rows = zip(
+                    estimates,
+                    means_enum.tolist(),
+                    conditional_mean(scheme, sample, f_tables, m_out).tolist(),
+                    vars_enum.tolist(),
+                    conditional_variance(scheme, sample, f_tables, m_out).tolist(),
+                )
+                for fi, (est, mean_enum, mean_closed, var_enum, var_closed) in enumerate(rows):
                     errs = (
                         abs(mean_enum - est),
                         abs(mean_closed - est),
@@ -150,9 +154,8 @@ def variance_ordering_suite(
         values = rng.normal(size=m)
         sample = WeightedSample([float(v) for v in values], w)
         m_out = int(rng.integers(1, max_m + 1))
-        f = lambda p: float(p)
-        gap = conditional_variance(RESIDUAL, sample, f, m_out) - conditional_variance(
-            MULTINOMIAL, sample, f, m_out
+        gap = conditional_variance(RESIDUAL, sample, values, m_out) - conditional_variance(
+            MULTINOMIAL, sample, values, m_out
         )
         worst_gap = max(worst_gap, gap)
         if gap > slack:
@@ -215,7 +218,7 @@ def limit_weight_suite(
         )
         c_star = float(np.sum(probs * limit_w * values)) / float(np.sum(probs * limit_w))
         predicted = float(np.sum(probs * limit_w * (values - c_star) ** 2))
-        exact = conditional_variance(RESIDUAL, sample, lambda p: float(p), m_out)
+        exact = conditional_variance(RESIDUAL, sample, points, m_out)
         scaled = m_out * exact
         rel_err = abs(scaled - predicted) / predicted
         ok = rel_err <= rel_tolerance

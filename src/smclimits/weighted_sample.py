@@ -4,16 +4,36 @@ A weighted sample is an ordered collection of points, each carrying a
 nonnegative importance weight.  All estimators here are self-normalized:
 they depend on the weights only through the normalized vector w_i / sum(w),
 so rescaling every weight by a common positive constant changes nothing.
+
+Functions of the particles enter as their values: ``f_values`` holds f at
+each particle, in order, with shape (m,) for one function or (k, m) for k
+functions at once.  A (k, m) input gives k results, each by the arithmetic
+a one-row call does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 Point = Any  # a particle: a scalar state or a tuple of states (path)
+
+
+def f_value_rows(f_values, m: int) -> tuple[np.ndarray, bool]:
+    """``f_values`` as C-contiguous (k, m) rows, and whether it was one row.
+
+    Contiguous rows matter: a strided row sent to ``np.dot`` can round
+    differently from the same values in a contiguous one-row call.
+    Raises ``ValueError`` ("non-finite integrand") on any non-finite value.
+    """
+    vals = np.asarray(f_values, dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != m:
+        raise ValueError(f"f_values must have shape ({m},) or (k, {m})")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite integrand")
+    return np.ascontiguousarray(np.atleast_2d(vals)), vals.ndim == 1
 
 
 def weight_total(weights: np.ndarray) -> float:
@@ -97,16 +117,16 @@ class WeightedSample:
     def size(self) -> int:
         return len(self.particles)
 
-    def estimate(self, f: Callable[[Point], float]) -> float:
+    def estimate(self, f_values) -> float | np.ndarray:
         """Self-normalized weighted mean, sum(w_i f(xi_i)) / sum(w_i).
 
-        Raises ``ValueError`` ("non-finite integrand") if ``f`` returns a
-        non-finite value at any particle.
+        ``f_values`` are f at the particles, shape (m,) or (k, m); a (k, m)
+        input gives the k estimates.  Raises ``ValueError`` ("non-finite
+        integrand") on any non-finite value.
         """
-        vals = np.fromiter((f(p) for p in self.particles), dtype=float, count=self.size)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite integrand")
-        return float(np.sum(self.weights * vals)) / self.total
+        vals, one = f_value_rows(f_values, self.size)
+        est = np.sum(self.weights * vals, axis=1) / self.total
+        return float(est[0]) if one else est
 
     def ess(self) -> float:
         """Effective sample size, [sum (w_i/W)^2]^-1.

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -425,7 +429,8 @@ class TestCounterexample:
 
 # sha256 of every report at toy sizes, taken before the CLI's report layer was
 # rewritten: exit code, stdout, each CSV, and each summary JSON without its
-# "version" key (the library version is expected to change)
+# "version" key (the library version is expected to change).  The
+# verify-resampling digest was taken before the moments took rows of f values.
 REPORT_DIGESTS = {
     "verify-clt": (
         {"horizon": 3, "m_list": [32], "replicates": 200},
@@ -445,6 +450,16 @@ REPORT_DIGESTS = {
             "variance_table.json": "58e4198d6c1c13a9e1643df52d1c8bdadef272db626c98b15a31e4b9d2b299ac",
         },
     ),
+    "verify-resampling": (
+        {},
+        {
+            "exit": 0,
+            "stdout": "b4710ef6066089fa4490aded69f55d1776835d7aaee854cad2ad55383cf77756",
+            "resampling_report.json": (
+                "7d1a654888e9850cd506b6181341aade5862340e2d7ef453d416b1eb88fbc867"
+            ),
+        },
+    ),
     "counterexample": (
         {"m_list": [2000], "replicates": 200},
         {
@@ -461,6 +476,19 @@ REPORT_DIGESTS = {
 }
 
 
+def _report_digests(out: Path) -> dict:
+    """sha256 of each report in ``out``, summaries without their "version" key."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            doc = json.loads(data)
+            del doc["version"]
+            data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        digests[path.name] = _sha256(data)
+    return digests
+
+
 class TestReportBytes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
@@ -471,13 +499,7 @@ class TestReportBytes:
         out = tmp_path / "out"
         code = main([command, "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
         digests = {"exit": code, "stdout": _sha256(capsys.readouterr().out.encode())}
-        for path in sorted(out.iterdir()):
-            data = path.read_bytes()
-            if path.suffix == ".json":
-                doc = json.loads(data)
-                del doc["version"]
-                data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
-            digests[path.name] = _sha256(data)
+        digests.update(_report_digests(out))
         assert digests == expected
 
 
@@ -500,6 +522,41 @@ class TestWorkloadRowsBytes:
         cfg["experiment"]["replicates"] = replicates
         report = cli.run_replicates(build_experiment(cfg))
         assert _sha256(("\n".join(report.csv_lines()) + "\n").encode()) == expected
+
+
+class TestPhaseLogging:
+    def test_suite_times_go_to_the_log_only(self, tmp_path):
+        # a separate process: the CLI configures logging from SMC_LIMITS_LOG
+        src = Path(cli.__file__).resolve().parents[1]
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "smclimits", "verify-resampling", "--out-dir", str(out)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src), SMC_LIMITS_LOG="INFO"),
+        )
+        _, expected = REPORT_DIGESTS["verify-resampling"]
+        assert proc.returncode == expected["exit"], proc.stderr
+        assert _sha256(proc.stdout.encode()) == expected["stdout"]
+        assert _report_digests(out) == {
+            k: v for k, v in expected.items() if k not in ("exit", "stdout")
+        }
+        for suite in ("unbiasedness", "variance_ordering", "limit_weight"):
+            assert f"INFO:smclimits:{suite} suite took " in proc.stderr
+
+    def test_particle_counts_logged_as_they_finish(self, tmp_path, capsys, caplog):
+        cfg_path = _write(tmp_path, _small_experiment())
+        quiet, logged = tmp_path / "quiet", tmp_path / "logged"
+        assert main(["verify-lln", "--config", cfg_path, "--out-dir", str(quiet)]) in (0, 1)
+        quiet_stdout = capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="smclimits"):
+            for workers in ("1", "2"):
+                caplog.clear()
+                main(["verify-lln", "--config", cfg_path, "--out-dir", str(logged),
+                      "--workers", workers])
+                done = [r.getMessage() for r in caplog.records if "replicates done" in r.getMessage()]
+                assert [msg.split(":")[0] for msg in done] == ["m=16", "m=32", "m=64", "m=256"]
+                assert capsys.readouterr().out == quiet_stdout
+                assert _report_digests(logged) == _report_digests(quiet)
 
 
 class TestWorkersDeterminism:

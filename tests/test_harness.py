@@ -381,6 +381,25 @@ class TestCounterexample:
         result = counterexample_run(20_000, 100, 13)
         assert float(np.mean(result.mean_weights)) == pytest.approx(1.0, abs=0.005)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, 0.5, 0.5, 0.6, 0.7, 0.7],  # ties, and 0.6 sits on 0.5's right edge
+            [0.0, 0.1, 0.2, 0.3, 0.4],  # every window edge lands on a value
+            [1.0],
+            [0.25, 0.25, 0.25],
+            [0.6, 0.65, 0.7, 1.3, 1.33, 1.34, 1.35, 1.4, 1.45],
+        ],
+    )
+    def test_window_mass_matches_the_loop(self, values):
+        ordered = np.sort(np.array(values))
+        best = 0
+        for i, v in enumerate(ordered):
+            j = int(np.searchsorted(ordered, v + 0.1, side="right"))
+            best = max(best, j - i)
+        stats = summarize_counterexample(np.array(values[::-1]))
+        assert stats["max_window_mass"] == best / ordered.size
+
     def test_deterministic(self):
         a = counterexample_run(5_000, 20, 3)
         b = counterexample_run(5_000, 20, 3)

@@ -23,10 +23,6 @@ from smclimits import (
 from smclimits.enumeration import enumerated_moments
 
 
-def _coord(p):
-    return float(p)
-
-
 class TestMultinomial:
     def test_single_particle_forced(self, rng):
         ws = WeightedSample([7.0], [2.0])
@@ -42,8 +38,9 @@ class TestMultinomial:
 
     def test_enumerated_mean_matches_estimate(self):
         ws = WeightedSample([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
-        mean, _ = enumerated_moments(MULTINOMIAL, ws, np.array([0.0, 1.0, 2.0]), 2)
-        assert mean == pytest.approx(ws.estimate(_coord), abs=1e-12)
+        vals = np.array([0.0, 1.0, 2.0])
+        mean, _ = enumerated_moments(MULTINOMIAL, ws, vals, 2)
+        assert mean == pytest.approx(ws.estimate(vals), abs=1e-12)
 
     def test_output_unit_weights(self, rng):
         ws = WeightedSample([0.0, 1.0], [0.4, 0.6])
@@ -83,8 +80,9 @@ class TestResidualResample:
 
     def test_enumerated_mean_matches_estimate(self):
         ws = WeightedSample([0.0, 1.0, 2.0], [0.45, 0.35, 0.2])
-        mean, _ = enumerated_moments(RESIDUAL, ws, np.array([0.0, 1.0, 2.0]), 4)
-        assert mean == pytest.approx(ws.estimate(_coord), abs=1e-12)
+        vals = np.array([0.0, 1.0, 2.0])
+        mean, _ = enumerated_moments(RESIDUAL, ws, vals, 4)
+        assert mean == pytest.approx(ws.estimate(vals), abs=1e-12)
 
     def test_counts_dominate_floors(self):
         ws = WeightedSample([0, 1, 2], [0.47, 0.34, 0.19])
@@ -106,20 +104,21 @@ class TestConditionalMoments:
     def test_mean_equals_estimate_both_schemes(self, rng):
         for _ in range(50):
             m = int(rng.integers(2, 6))
+            vals = rng.normal(size=m)
             ws = WeightedSample(
-                [float(v) for v in rng.normal(size=m)],
+                [float(v) for v in vals],
                 np.exp(rng.uniform(-2, 2, size=m)),
             )
             m_out = int(rng.integers(1, 7))
-            est = ws.estimate(_coord)
+            est = ws.estimate(vals)
             for scheme in (MULTINOMIAL, RESIDUAL):
-                assert conditional_mean(scheme, ws, _coord, m_out) == pytest.approx(
+                assert conditional_mean(scheme, ws, vals, m_out) == pytest.approx(
                     est, abs=1e-12
                 )
 
     def test_multinomial_variance_hand_value(self):
         ws = WeightedSample([0.0, 1.0], [1.0, 1.0])
-        assert conditional_variance(MULTINOMIAL, ws, _coord, 2) == pytest.approx(
+        assert conditional_variance(MULTINOMIAL, ws, [0.0, 1.0], 2) == pytest.approx(
             0.125, abs=1e-15
         )
 
@@ -133,23 +132,24 @@ class TestConditionalMoments:
             m_out = int(rng.integers(1, 5))
             for scheme in (MULTINOMIAL, RESIDUAL):
                 mean_e, var_e = enumerated_moments(scheme, ws, vals, m_out)
-                assert conditional_mean(scheme, ws, _coord, m_out) == pytest.approx(
+                assert conditional_mean(scheme, ws, vals, m_out) == pytest.approx(
                     mean_e, abs=1e-12
                 )
-                assert conditional_variance(scheme, ws, _coord, m_out) == pytest.approx(
+                assert conditional_variance(scheme, ws, vals, m_out) == pytest.approx(
                     var_e, abs=1e-12
                 )
 
     def test_residual_never_beats_multinomial(self, rng):
         for _ in range(100):
             m = int(rng.integers(2, 7))
+            vals = rng.normal(size=m)
             ws = WeightedSample(
-                [float(v) for v in rng.normal(size=m)],
+                [float(v) for v in vals],
                 np.exp(rng.uniform(-3, 3, size=m)),
             )
             m_out = int(rng.integers(1, 7))
-            gap = conditional_variance(RESIDUAL, ws, _coord, m_out) - conditional_variance(
-                MULTINOMIAL, ws, _coord, m_out
+            gap = conditional_variance(RESIDUAL, ws, vals, m_out) - conditional_variance(
+                MULTINOMIAL, ws, vals, m_out
             )
             assert gap <= 1e-12
 
@@ -165,12 +165,12 @@ class TestConditionalMoments:
         for scheme in (MULTINOMIAL, RESIDUAL):
             for i, (vals, w, m_out) in enumerate(fixtures):
                 ws = WeightedSample(vals, w)
-                oracle = conditional_variance(scheme, ws, _coord, m_out)
+                oracle = conditional_variance(scheme, ws, vals, m_out)
                 rng = np.random.default_rng(np.random.SeedSequence([99, i]))
                 draws = np.empty(reps)
                 for r in range(reps):
                     out = resample(ws, scheme, m_out, rng)
-                    draws[r] = np.mean([_coord(p) for p in out.particles])
+                    draws[r] = np.mean([float(p) for p in out.particles])
                 mc_var = float(np.var(draws, ddof=1))
                 # the variance of a sample variance is roughly 2 var^2 / n
                 se = oracle * math.sqrt(2.0 / reps) if oracle > 0 else 1e-12

@@ -6,7 +6,9 @@
 drops out of the per-layer metrics without any error, so one traced pass
 per filter workload runs here at toy size and its exact particle-step
 count is checked against the config: the sum over particle counts of
-m * horizon * replicates.
+m * horizon * replicates.  The ``verify-resampling`` pass runs on the
+built-in config; its check count is fixed by the suites' sizes, and its
+enumeration, moment and sample counts must all be seen.
 """
 
 import json
@@ -42,13 +44,28 @@ def test_traced_pass_counts_every_particle_step(
     cfg["experiment"].update(experiment)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    result = _traced_pass(tmp_path, command, "--config", str(cfg_path))
+    assert result["exit"] in (0, 1)
+    assert result["counts"]["state_space.particle_steps"] == particle_steps
+
+
+def test_traced_pass_sees_the_resampling_suites(tmp_path):
+    result = _traced_pass(tmp_path, "verify-resampling")
+    assert result["exit"] == 0
+    counts = result["counts"]
+    # 7024 unbiasedness checks, 100 ordering cases, 3 limit-weight ratios
+    assert counts["verify.checks"] == 7024 + 100 + 3
+    for name in ("enumeration.calls", "resampling.moments_calls",
+                 "weighted_sample.samples_built"):
+        assert counts[name] > 0, name
+
+
+def _traced_pass(tmp_path, *cli_args) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(BENCH / "trace_pass.py"), "--traced",
-         "--out-dir", str(tmp_path / "out"), "--", command, "--config", str(cfg_path)],
+         "--out-dir", str(tmp_path / "out"), "--", *cli_args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["exit"] in (0, 1), proc.stderr
-    assert result["counts"]["state_space.particle_steps"] == particle_steps
+    return json.loads(proc.stdout.strip().splitlines()[-1])

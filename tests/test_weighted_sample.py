@@ -9,27 +9,37 @@ from smclimits import WeightedSample, equally_weighted
 class TestEstimate:
     def test_symmetric_average(self):
         ws = WeightedSample(["a", "b"], [1.0, 1.0])
-        assert ws.estimate(lambda p: 0.0 if p == "a" else 2.0) == 1.0
+        assert ws.estimate([0.0, 2.0]) == 1.0
 
     def test_constant_function(self):
         ws = WeightedSample([1, 2, 3], [0.2, 1.7, 0.1])
-        assert ws.estimate(lambda p: 4.25) == pytest.approx(4.25, rel=1e-15)
+        assert ws.estimate(np.full(3, 4.25)) == pytest.approx(4.25, rel=1e-15)
 
     def test_weighted_mean(self):
         ws = WeightedSample(["a", "b"], [1.0, 3.0])
-        assert ws.estimate(lambda p: 0.0 if p == "a" else 4.0) == 3.0
+        assert ws.estimate([0.0, 4.0]) == 3.0
+
+    def test_rows_give_one_estimate_each(self):
+        ws = WeightedSample(["a", "b"], [1.0, 3.0])
+        np.testing.assert_array_equal(ws.estimate([[0.0, 4.0], [2.0, 2.0]]), [3.0, 2.0])
+
+    def test_values_must_match_the_particles(self):
+        ws = WeightedSample([0, 1], [1.0, 1.0])
+        for bad in ([1.0], [1.0, 2.0, 3.0], [[[1.0, 2.0]]]):
+            with pytest.raises(ValueError, match="f_values must have shape"):
+                ws.estimate(bad)
 
     def test_non_finite_integrand(self):
         ws = WeightedSample([0, 1], [1.0, 1.0])
         with pytest.raises(ValueError, match="non-finite integrand"):
-            ws.estimate(lambda p: float("inf") if p else 0.0)
+            ws.estimate([0.0, float("inf")])
 
     def test_bounded_by_extremes(self, rng):
         for _ in range(100):
             m = int(rng.integers(1, 8))
             vals = rng.normal(size=m)
             ws = WeightedSample(range(m), rng.uniform(0.01, 1.0, size=m))
-            est = ws.estimate(lambda p: vals[p])
+            est = ws.estimate(vals)
             assert vals.min() - 1e-12 <= est <= vals.max() + 1e-12
 
     def test_linearity(self, rng):
@@ -37,8 +47,8 @@ class TestEstimate:
         fv = rng.normal(size=m)
         gv = rng.normal(size=m)
         ws = WeightedSample(range(m), rng.uniform(0.0, 1.0, size=m))
-        lhs = ws.estimate(lambda p: 2.0 * fv[p] - 3.5 * gv[p])
-        rhs = 2.0 * ws.estimate(lambda p: fv[p]) - 3.5 * ws.estimate(lambda p: gv[p])
+        lhs = ws.estimate(2.0 * fv - 3.5 * gv)
+        rhs = 2.0 * ws.estimate(fv) - 3.5 * ws.estimate(gv)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -83,7 +93,7 @@ class TestDiagnostics:
         vals = rng.normal(size=8)
         ws = WeightedSample(range(8), w)
         base = (
-            ws.estimate(lambda p: vals[p]),
+            ws.estimate(vals),
             ws.ess(),
             ws.cv2(),
             ws.max_weight_fraction(),
@@ -91,7 +101,7 @@ class TestDiagnostics:
         for scale in (1e-6, 1.0, 1e6):
             scaled = ws.rescaled(scale)
             got = (
-                scaled.estimate(lambda p: vals[p]),
+                scaled.estimate(vals),
                 scaled.ess(),
                 scaled.cv2(),
                 scaled.max_weight_fraction(),
@@ -118,9 +128,7 @@ class TestNormalize:
         ws = WeightedSample(range(10), w)
         nn = ws.normalize()
         assert nn.total == pytest.approx(1.0, rel=1e-15)
-        assert ws.estimate(lambda p: vals[p]) == pytest.approx(
-            nn.estimate(lambda p: vals[p]), rel=1e-12
-        )
+        assert ws.estimate(vals) == pytest.approx(nn.estimate(vals), rel=1e-12)
         assert ws.ess() == pytest.approx(nn.ess(), rel=1e-12)
         assert ws.cv2() == pytest.approx(nn.cv2(), rel=1e-12, abs=1e-12)
         assert ws.max_weight_fraction() == pytest.approx(nn.max_weight_fraction(), rel=1e-12)
