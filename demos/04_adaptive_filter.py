@@ -39,8 +39,10 @@ for rec, step in zip(trace.records[1:], state.steps[1:]):
 print()
 
 # --- the terminal estimate against the exact smoothing law ------------------
-truth = exact_joint_smoothing(model, HORIZON).expect_terminal([1.0, 0.0])
-est = trace.terminal_estimate(np.array([1.0, 0.0]))
+# the estimate takes f at the particles: look the terminal states up in f's table
+table = np.array([1.0, 0.0])
+truth = exact_joint_smoothing(model, HORIZON).expect_terminal(table)
+est = trace.terminal_estimate(table[trace.current.paths[:, -1]])
 print(f"P(terminal state = 0 | record): filter {est:.5f} vs exact {truth:.5f}")
 print()
 

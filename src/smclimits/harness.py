@@ -15,7 +15,8 @@ particle counts and comparing against exact oracles:
 
 Every replicate draws its generator from (master seed, particle count,
 replicate index), so reports are pure functions of their configuration at
-any worker count.
+any worker count.  Test functions enter the filter's estimate as their
+values at the terminal coordinates, :meth:`TerminalFunction.values_at`.
 """
 
 from __future__ import annotations
@@ -129,16 +130,14 @@ class TerminalFunction:
             return table
         raise ValueError(f"unknown function kind {self.kind!r}")
 
-    def callable_for(self):
+    def values_at(self, model: DiscreteHMM | LinearGaussianSSM, x: np.ndarray) -> np.ndarray:
+        """f at the terminal coordinates ``x``: a table lookup for discrete models,
+        a * x + b for the linear-Gaussian one."""
+        if isinstance(model, DiscreteHMM):
+            return self.table_for(model)[x]
         if self.kind != "affine":
             raise ValueError("continuous models support affine functions only")
-        return lambda x: self.a * x + self.b
-
-    def for_model(self, model: DiscreteHMM | LinearGaussianSSM):
-        """A per-state table for discrete models, a callable for the linear-Gaussian one."""
-        if isinstance(model, DiscreteHMM):
-            return self.table_for(model)
-        return self.callable_for()
+        return self.a * x + self.b
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind}
@@ -199,12 +198,13 @@ class ExperimentConfig:
             raise ValueError("at least one replicate is required")
         if not 1 <= self.horizon <= self.model.horizon:
             raise ValueError("horizon exceeds the model's observation record")
+        # a constant's estimation error is pure rounding noise, which no rate
+        # fit or variance ratio can judge; an affine f of a real state is
+        # constant when f(0) == f(1)
+        discrete = isinstance(self.model, DiscreteHMM)
+        states = np.arange(self.model.n_states) if discrete else np.array([0.0, 1.0])
         for fn in self.functions:
-            values = fn.for_model(self.model)
-            # a constant's estimation error is pure rounding noise, which no
-            # rate fit or variance ratio can judge
-            constant = fn.a == 0.0 if callable(values) else np.ptp(values) == 0.0
-            if constant:
+            if np.ptp(fn.values_at(self.model, states)) == 0.0:
                 raise ValueError(f"function {fn.name!r} is constant on the state space")
         if self.policy.trigger != "never" and self.policy.ratio != 1.0:
             # selection may fire at every step, scaling each population each
@@ -242,9 +242,7 @@ class ExperimentConfig:
             law = exact_joint_smoothing(self.model, self.horizon)
             return law.expect_terminal(fn.table_for(self.model))
         means, _ = self.model.kalman_filter()
-        if fn.kind != "affine":
-            raise ValueError("truth unavailable: continuous models support affine functions only")
-        return fn.a * float(means[self.horizon - 1]) + fn.b
+        return fn.values_at(self.model, float(means[self.horizon - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +256,10 @@ def _replicate_row(task: tuple[ExperimentConfig, int, int, dict]) -> dict:
     trace = smc_run(
         config.model, config.proposal_kind, config.policy, m, seed, horizon=config.horizon
     )
+    last = trace.current.paths[:, -1]
     estimates = {
-        fn.name: trace.terminal_estimate(fn.for_model(config.model)) for fn in config.functions
+        fn.name: trace.terminal_estimate(fn.values_at(config.model, last))
+        for fn in config.functions
     }
     primary = config.functions[0].name
     final = trace.current

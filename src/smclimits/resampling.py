@@ -15,14 +15,16 @@ then serves all k, and each row gets the arithmetic of a one-row call.
 The module also hosts the asymptotic quantities that govern the residual
 scheme's large-population variance: the limiting residual-mass weight and
 the limit of the deterministically copied part, evaluated on a finitely
-supported :class:`DiscreteDistribution`.
+supported :class:`DiscreteDistribution`.  They take the weight function
+phi and the test function f the same way, as ``phi_values`` and
+``f_values`` at the atoms, in atom order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .weighted_sample import Point, WeightedSample, f_value_rows
 MULTINOMIAL = "multinomial"
 RESIDUAL = "residual"
 _SCHEMES = (MULTINOMIAL, RESIDUAL)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,17 @@ class ResamplingPolicy:
         return m_out
 
 
+def _normal_scale(weights: np.ndarray, total: float, room: float = 1.0):
+    """Scale ``weights`` and ``total`` by the exact power of two that brings the
+    total into [0.5, 1), when it is below ``room`` times the smallest normal
+    float: there ``u * total`` is quantised and ``m_out / total`` can
+    overflow.  Other totals are returned as they are, so keep every bit."""
+    if not 0.0 < total < room * _TINY:
+        return weights, total
+    shift = -math.frexp(total)[1]
+    return np.ldexp(weights, shift), math.ldexp(total, shift)
+
+
 def categorical_indices(
     weights: np.ndarray, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -85,6 +99,8 @@ def categorical_indices(
     is written back to its key's draw slot.
     """
     cum = np.cumsum(weights)
+    if cum[-1] < _TINY:
+        cum = np.cumsum(_normal_scale(weights, float(cum[-1]))[0])
     u = rng.random(n_draws) * cum[-1]
     order = np.argsort(u)
     idx = np.empty(n_draws, dtype=np.intp)
@@ -101,6 +117,7 @@ class ResidualAllocation(NamedTuple):
 
 
 def _residual_alloc(weights: np.ndarray, total: float, m_out: int) -> ResidualAllocation:
+    weights, total = _normal_scale(weights, total, m_out)
     target = weights * (float(m_out) / total)
     floors = np.floor(target)
     # Floors must never exceed the exact targets: if rounding pushed a
@@ -250,8 +267,18 @@ class DiscreteDistribution:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p in self.atoms])
 
-    def expect(self, f: Callable[[Point], float]) -> float:
-        return float(sum(p * f(v) for v, p in self.atoms))
+    def expect(self, f_values) -> float:
+        """sum_i p_i f_i, f_i the value at atom i, summed left to right."""
+        vals = _at_atoms(self, f_values)
+        return float(sum(p * f for (_, p), f in zip(self.atoms, vals)))
+
+
+def _at_atoms(dist: DiscreteDistribution, f_values) -> np.ndarray:
+    """``f_values`` as floats, one per atom in atom order; ``ValueError`` on a wrong length."""
+    vals = np.asarray(f_values, dtype=float)
+    if vals.shape != (len(dist.atoms),):
+        raise ValueError(f"expected {len(dist.atoms)} values, one per atom")
+    return vals
 
 
 def residual_limit_weight(x: float) -> float:
@@ -270,19 +297,15 @@ def residual_limit_weight(x: float) -> float:
     return 1.0 - math.floor(x) / x
 
 
-def point_values(
-    dist: DiscreteDistribution, ell: float, phi: Callable[[Point], float]
-) -> np.ndarray:
+def point_values(dist: DiscreteDistribution, ell: float, phi_values) -> np.ndarray:
     """Limiting expected copy count ell * nu(1/phi) * phi(v) of each atom v."""
-    inv_phi = dist.expect(lambda v: 1.0 / phi(v))
-    return np.array([ell * inv_phi * phi(v) for v in dist.values])
+    phi = _at_atoms(dist, phi_values)
+    inv_phi = dist.expect(1.0 / phi)
+    return ell * inv_phi * phi
 
 
 def residual_regularity_check(
-    dist: DiscreteDistribution,
-    ell: float,
-    phi: Callable[[Point], float],
-    tol: float = 1e-9,
+    dist: DiscreteDistribution, ell: float, phi_values, tol: float = 1e-9
 ) -> bool:
     """True when no atom's limiting copy count is an integer (or infinite).
 
@@ -292,7 +315,7 @@ def residual_regularity_check(
     """
     if math.isinf(ell):
         return False
-    xs = point_values(dist, ell, phi)
+    xs = point_values(dist, ell, phi_values)
     for x, p in zip(xs, dist.probabilities):
         if p == 0.0:
             continue
@@ -302,10 +325,7 @@ def residual_regularity_check(
 
 
 def residual_deterministic_limit(
-    dist: DiscreteDistribution,
-    ell: float,
-    phi: Callable[[Point], float],
-    f: Callable[[Point], float],
+    dist: DiscreteDistribution, ell: float, phi_values, f_values
 ) -> float:
     """Limit of the deterministically copied average, nu(f * floor(x)/x).
 
@@ -313,9 +333,9 @@ def residual_deterministic_limit(
     regularity check to pass; an integer-mass atom raises
     "atomic integer mass".
     """
-    if not residual_regularity_check(dist, ell, phi):
+    if not residual_regularity_check(dist, ell, phi_values):
         raise ValueError("atomic integer mass: the deterministic part has no limit")
-    xs = point_values(dist, ell, phi)
+    xs = point_values(dist, ell, phi_values)
     probs = dist.probabilities
-    vals = np.array([f(v) for v in dist.values], dtype=float)
+    vals = _at_atoms(dist, f_values)
     return float(np.sum(probs * vals * np.floor(xs) / xs))

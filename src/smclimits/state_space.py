@@ -27,7 +27,8 @@ Each kind is defined once, by :func:`step_kernel`; the filter and the
 variance oracle both read that definition.  For discrete models
 everything is exactly enumerable, which the oracle modules rely on; a
 scalar linear-Gaussian model is included for continuous-state smoke
-tests with Kalman-filter reference values.
+tests with Kalman-filter reference values.  :meth:`SmcTrace.terminal_estimate`
+takes f as ``f_values``, its values at the current particles: (m,) or (k, m).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .resampling import ResamplingPolicy, resample_indices
-from .weighted_sample import cv2_of_weights, ess_of_weights
+from .weighted_sample import cv2_of_weights, ess_of_weights, estimate_of_weights
 
 PRIOR = "prior"
 OPTIMAL = "optimal"
@@ -522,21 +523,9 @@ class SmcTrace:
             full = np.hstack([full[:, : rec.step - rec.paths.shape[1]], rec.paths])
         return full
 
-    def terminal_estimate(self, f) -> float:
-        """Weighted estimate of a terminal-coordinate function.
-
-        ``f`` is either a table indexed by the discrete state or an
-        elementwise callable, applied once to the array of terminal
-        coordinates.
-        """
-        rec = self.current
-        last = rec.paths[:, -1]
-        if callable(f):
-            vals = np.asarray(f(last), dtype=float)
-        else:
-            vals = np.asarray(f, dtype=float)[last]
-        total = float(np.sum(rec.weights))
-        return float(np.sum(rec.weights * vals)) / total
+    def terminal_estimate(self, f_values) -> float | np.ndarray:
+        """Weighted estimate from f at the current particles, e.g. ``table[paths[:, -1]]``."""
+        return estimate_of_weights(self.current.weights, f_values)
 
     def decisions(self) -> list[bool]:
         return [r.resampled for r in self.records[1:]]

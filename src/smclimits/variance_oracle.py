@@ -75,24 +75,14 @@ class VarianceRecursionState:
         return tuple(s.epsilon for s in self.steps[1:])
 
     def path_function(self, f, k: int | None = None) -> np.ndarray:
-        """Coerce f to a dense array over length-k paths.
-
-        Accepts a full path array, a length-n table of the terminal
-        coordinate, or a callable on path tuples.
-        """
-        k = self.k if k is None else k
-        shape = (self.model.n_states,) * k
-        if callable(f):
-            out = np.empty(shape)
-            for idx in np.ndindex(shape):
-                out[idx] = f(idx)
-            return out
+        """f as an array over length-k paths; ``f`` is one, or a terminal-coordinate table."""
+        shape = (self.model.n_states,) * (self.k if k is None else k)
         f = np.asarray(f, dtype=float)
         if f.shape == shape:
             return f
-        if f.ndim == 1 and f.size == self.model.n_states:
+        if f.shape == shape[-1:]:
             return np.broadcast_to(f, shape).copy()
-        raise ValueError("f must be a terminal table, a path array, or a callable")
+        raise ValueError("f must be a terminal table or a path array")
 
     def sigma2(self, f, k: int | None = None) -> float:
         """The asymptotic variance sigma_k^2(f) at step k (default: the current step)."""

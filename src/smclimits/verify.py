@@ -197,7 +197,6 @@ def limit_weight_suite(
     within ``rel_tolerance`` relative, f the identity.
     """
     target = DiscreteDistribution(list(atoms))
-    phi = lambda v: float(v)
     results = []
     passed = True
     values = np.array(target.values)
@@ -208,14 +207,13 @@ def limit_weight_suite(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = rng.choice(values.size, size=m, p=tilt)
     points = values[idx]
-    sample = WeightedSample([float(v) for v in points], points)
+    # each point is its own weight, and phi and f are the identity
+    sample = WeightedSample(points, points)
     for ell in ratios:
-        if not residual_regularity_check(target, ell, phi):
+        if not residual_regularity_check(target, ell, values):
             raise ValueError("atoms must keep the limiting copy counts non-integer")
         m_out = int(round(ell * m))
-        limit_w = np.array(
-            [residual_limit_weight(x) for x in point_values(target, ell, phi)]
-        )
+        limit_w = np.array([residual_limit_weight(x) for x in point_values(target, ell, values)])
         c_star = float(np.sum(probs * limit_w * values)) / float(np.sum(probs * limit_w))
         predicted = float(np.sum(probs * limit_w * (values - c_star) ** 2))
         exact = conditional_variance(RESIDUAL, sample, points, m_out)

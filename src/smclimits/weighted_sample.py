@@ -65,6 +65,18 @@ def ess_of_weights(weights: np.ndarray) -> float:
     return total * total / float(np.sum(w * w))
 
 
+def estimate_of_weights(weights: np.ndarray, f_values) -> float | np.ndarray:
+    """Self-normalized weighted mean sum(w_i f_i) / sum(w_i), one per row of ``f_values``.
+
+    Shared by :meth:`WeightedSample.estimate` and the filter so both give
+    bit-identical values for the same weights.  Raises ``ValueError``
+    ("non-finite integrand") on any non-finite value.
+    """
+    vals, one = f_value_rows(f_values, weights.size)
+    est = np.sum(weights * vals, axis=1) / weight_total(weights)
+    return float(est[0]) if one else est
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """An immutable weighted sample {(xi_i, w_i)}.
@@ -110,23 +122,13 @@ class WeightedSample:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "total", total)
 
-    def __len__(self) -> int:
-        return len(self.particles)
-
     @property
     def size(self) -> int:
         return len(self.particles)
 
     def estimate(self, f_values) -> float | np.ndarray:
-        """Self-normalized weighted mean, sum(w_i f(xi_i)) / sum(w_i).
-
-        ``f_values`` are f at the particles, shape (m,) or (k, m); a (k, m)
-        input gives the k estimates.  Raises ``ValueError`` ("non-finite
-        integrand") on any non-finite value.
-        """
-        vals, one = f_value_rows(f_values, self.size)
-        est = np.sum(self.weights * vals, axis=1) / self.total
-        return float(est[0]) if one else est
+        """Self-normalized weighted mean, see :func:`estimate_of_weights`."""
+        return estimate_of_weights(self.weights, f_values)
 
     def ess(self) -> float:
         """Effective sample size, [sum (w_i/W)^2]^-1.

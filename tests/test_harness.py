@@ -23,9 +23,9 @@ from smclimits import (
     run_recursion,
     summarize_counterexample,
 )
-from smclimits import harness
+from smclimits import cli, harness
 from smclimits.harness import aggregate_rows, kolmogorov_sf, require_lln_grid
-from smclimits.state_space import MAX_POPULATION
+from smclimits.state_space import MAX_POPULATION, smc_run
 
 
 def _normal_quantile(p):
@@ -296,6 +296,39 @@ class TestRunReplicates:
                 policy=ResamplingPolicy(), horizon=9, functions=fn,
                 particle_counts=(64,), replicates=2, seed=0,
             )
+
+
+# Two affine functions on the linear-Gaussian model, the second with its
+# slope given as a JSON integer; neither workload's a = 1, b = 0 pins them.
+_AFFINE_CONFIG = """{
+  "model": {"type": "linear_gaussian", "obs_seed": 3,
+            "parameters": {"ar_coeff": 0.8, "state_std": 1.0, "obs_std": 0.7}},
+  "proposal": "prior",
+  "policy": {"scheme": "residual", "trigger": "cv", "kappa2": 1.0},
+  "experiment": {"horizon": 6, "m_list": [64, 256], "replicates": 3, "seed": 11,
+                 "functions": [{"name": "g", "kind": "affine", "a": 0.37, "b": -1.25},
+                               {"name": "h", "kind": "affine", "a": 2, "b": -1.25}]}
+}"""
+
+
+class TestAffineEstimates:
+    def test_row_estimates_are_the_weighted_mean_of_a_x_plus_b(self):
+        doc = json.loads(_AFFINE_CONFIG)
+        experiment = cli.build_experiment(doc)
+        report = run_replicates(experiment)
+        assert len(report.rows) == 6
+        for row in report.rows:
+            trace = smc_run(
+                experiment.model, experiment.proposal_kind, experiment.policy, row["m"],
+                np.random.SeedSequence([experiment.seed, row["m"], row["replicate"]]),
+                horizon=experiment.horizon,
+            )
+            w, x = trace.current.weights, trace.current.paths[:, -1]
+            for fn in doc["experiment"]["functions"]:
+                a, b = fn["a"], fn["b"]
+                expected = float(np.sum(w * (a * x + b))) / float(np.sum(w))
+                assert row["estimates"][fn["name"]] == expected
+            assert row["estimate"] == row["estimates"]["g"]
 
 
 class TestLlnCheck:

@@ -3,7 +3,8 @@
 ``categorical_indices`` searches its keys in sorted order and
 ``_rows_categorical`` counts table columns one at a time.  Both must give,
 for the same uniforms, exactly the indices of the plain formulas kept
-below as references: same values, same dtype, same draw order.
+below as references: same values, same dtype, same draw order.  A
+subnormal weight total is scaled by a power of two before either draws.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from smclimits.state_space import _rows_categorical, smc_init
 
 def reference_categorical(weights, n_draws, rng):
     cum = np.cumsum(weights)
+    if 0.0 < cum[-1] < np.finfo(float).tiny:
+        cum = np.cumsum(np.ldexp(weights, -np.frexp(cum[-1])[1]))
     idx = np.searchsorted(cum, rng.random(n_draws) * cum[-1], side="right")
     return np.minimum(idx, weights.size - 1)
 
@@ -83,7 +86,7 @@ class TestSortedSearch:
             [1.0, 1.0, 2.0, 0.0, 4.0],  # cumsums 1 2 4 4 8: every key below is one of them
             [0.0, 0.0, 8.0],
             [8.0],
-            [5e-324],  # a subnormal total: the largest key rounds up onto it
+            [5e-324],  # a subnormal total, scaled to 0.5 before the draw
             [0.0, 5e-324, 0.0],
             [0.0, 0.0],
         ],

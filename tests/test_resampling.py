@@ -21,6 +21,7 @@ from smclimits import (
     residual_regularity_check,
 )
 from smclimits.enumeration import enumerated_moments
+from smclimits.resampling import categorical_indices, resample_indices
 
 
 class TestMultinomial:
@@ -210,6 +211,41 @@ class TestAllocationStress:
             assert out.particles[:m_bar] == expected_head
 
 
+def _within_binomial_band(hits: int, n: int, p: float) -> bool:
+    return abs(hits / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+class TestTinyWeightTotals:
+    """Totals below the smallest normal float draw as their normalized weights do."""
+
+    def test_residual_moments_and_draws_do_not_overflow(self):
+        sample = WeightedSample([0, 1], [1e-310, 2e-310])
+        assert conditional_mean(RESIDUAL, sample, [0.0, 1.0], 3) == pytest.approx(2.0 / 3.0)
+        assert conditional_variance(RESIDUAL, sample, [0.0, 1.0], 3) == pytest.approx(0.0)
+        assert enumerated_moments(RESIDUAL, sample, [0.0, 1.0], 3)[0] == pytest.approx(2.0 / 3.0)
+        idx = resample_indices(np.array([1e-310, 2e-310]), 3, RESIDUAL, np.random.default_rng(1))
+        assert sorted(idx.tolist()) == [0, 1, 1]
+        # a normal total, 3 * 2^-1020, whose m_out / total overflows
+        weights = np.array([math.ldexp(1.0, -1020), math.ldexp(1.0, -1019)])
+        counts = np.bincount(
+            resample_indices(weights, 300, RESIDUAL, np.random.default_rng(2)), minlength=2
+        )
+        assert counts.tolist() == [100, 200]
+
+    def test_multinomial_frequency_is_the_normalized_weight(self):
+        n = 200_000
+        idx = categorical_indices(np.array([5e-324, 1e-323]), n, np.random.default_rng(3))
+        assert _within_binomial_band(int(np.sum(idx == 0)), n, 1.0 / 3.0)
+
+    def test_residual_frequency_is_the_normalized_weight(self):
+        # one output slot: no guaranteed copy, one residual draw
+        rng = np.random.default_rng(4)
+        weights = np.array([5e-324, 1e-323])
+        n = 20_000
+        hits = sum(int(resample_indices(weights, 1, RESIDUAL, rng)[0] == 0) for _ in range(n))
+        assert _within_binomial_band(hits, n, 1.0 / 3.0)
+
+
 class TestLimitWeight:
     def test_infinite_ratio(self):
         assert residual_limit_weight(float("inf")) == 0.0
@@ -247,7 +283,7 @@ class TestDiscreteDistribution:
 
     def test_expect(self):
         dist = DiscreteDistribution([(0.5, 0.25), (2.0, 0.75)])
-        assert dist.expect(lambda v: v) == pytest.approx(1.625, rel=1e-15)
+        assert dist.expect(dist.values) == pytest.approx(1.625, rel=1e-15)
 
 
 class TestRegularityCheck:
@@ -255,38 +291,37 @@ class TestRegularityCheck:
         # the two-point law whose heavier value sits exactly on an integer
         # expected copy count
         dist = DiscreteDistribution([(0.5, 1.0 / 3.0), (2.0, 2.0 / 3.0)])
-        assert not residual_regularity_check(dist, 1.0, lambda v: v)
+        assert not residual_regularity_check(dist, 1.0, dist.values)
 
     def test_clean_two_point_law(self):
         dist = DiscreteDistribution([(0.3, 0.5), (0.7, 0.5)])
-        assert residual_regularity_check(dist, 1.0, lambda v: v)
+        assert residual_regularity_check(dist, 1.0, dist.values)
 
     def test_infinite_ratio_excluded(self):
         dist = DiscreteDistribution([(0.3, 0.5), (0.7, 0.5)])
-        assert not residual_regularity_check(dist, float("inf"), lambda v: v)
+        assert not residual_regularity_check(dist, float("inf"), dist.values)
 
 
 class TestDeterministicLimit:
     def test_all_below_one_gives_zero(self):
         dist = DiscreteDistribution([(0.3, 0.5), (0.7, 0.5)])
-        assert residual_deterministic_limit(dist, 0.5, lambda v: v, lambda v: v) == 0.0
+        assert residual_deterministic_limit(dist, 0.5, dist.values, dist.values) == 0.0
 
     def test_constant_copy_count(self):
         # a constant weight function makes every expected copy count equal
         # to the output ratio
         dist = DiscreteDistribution([(0.0, 0.4), (1.0, 0.6)])
-        out = residual_deterministic_limit(dist, 2.5, lambda v: 1.0, lambda v: 1.0)
+        out = residual_deterministic_limit(dist, 2.5, [1.0, 1.0], [1.0, 1.0])
         assert out == pytest.approx(0.8, abs=1e-15)
 
     def test_violated_regularity_raises(self):
         dist = DiscreteDistribution([(0.5, 1.0 / 3.0), (2.0, 2.0 / 3.0)])
         with pytest.raises(ValueError, match="atomic integer mass"):
-            residual_deterministic_limit(dist, 1.0, lambda v: v, lambda v: v)
+            residual_deterministic_limit(dist, 1.0, dist.values, dist.values)
 
     def test_monte_carlo_cross_check(self):
         dist = DiscreteDistribution([(0.8, 0.2), (0.9, 0.3), (1.5, 0.5)])
-        phi = lambda v: float(v)
-        f = lambda v: float(v)
+        phi = f = np.array(dist.values)
         ell = 1.0
         predicted = residual_deterministic_limit(dist, ell, phi, f)
         values = np.array(dist.values)

@@ -33,6 +33,11 @@ def small_model():
     )
 
 
+def _terminal_estimate(trace, table):
+    """The filter's estimate of the terminal-state function with this table."""
+    return trace.terminal_estimate(np.asarray(table)[trace.current.paths[:, -1]])
+
+
 class TestModelValidation:
     def test_zero_likelihood_rejected(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -374,20 +379,18 @@ class TestPathStorage:
             if rec.resampled:
                 assert rec.ancestors.shape == (rec.weights.size,)
 
-    def test_callable_applied_once_to_the_terminal_array(self):
+    def test_terminal_estimate_of_values_at_the_particles(self):
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6])
         trace = smc_run(model, "prior", ResamplingPolicy(trigger="cv", kappa2=0.3), 64, 21)
-        calls = []
-
-        def f(x):
-            calls.append(np.shape(x))
-            return 2.0 * x + 1.0
-
-        est = trace.terminal_estimate(f)
-        assert calls == [(64,)]
         rec = trace.current
-        vals = np.array([2.0 * v + 1.0 for v in rec.paths[:, -1]])
+        x = rec.paths[:, -1]
+        est = trace.terminal_estimate(2.0 * x + 1.0)
+        vals = np.array([2.0 * v + 1.0 for v in x])
         assert est == float(np.sum(rec.weights * vals)) / float(np.sum(rec.weights))
+        rows = trace.terminal_estimate(np.vstack([2.0 * x + 1.0, x]))
+        assert rows.tolist() == [est, trace.terminal_estimate(x)]
+        with pytest.raises(ValueError, match="f_values must have shape"):
+            trace.terminal_estimate(x[:-1])
 
 
 class TestExactSmoothing:
@@ -483,7 +486,7 @@ class TestFilter:
         for r in range(reps):
             trace = smc_run(model, "prior", ResamplingPolicy(trigger="never"), m,
                             np.random.SeedSequence([1, r]), horizon=1)
-            ests.append(trace.terminal_estimate(f))
+            ests.append(_terminal_estimate(trace, f))
         ests = np.array(ests)
         var_expected = truth * (1 - truth) / m
         assert abs(ests.mean() - truth) < 4 * math.sqrt(var_expected / reps)
@@ -497,7 +500,7 @@ class TestFilter:
         pi = pi / pi.sum()
         model = DiscreteHMM(pi, q, [[1.0, 1.0]] * 5)
         trace = smc_run(model, "prior", ResamplingPolicy(trigger="always"), 60_000, 17)
-        est = trace.terminal_estimate(np.array([1.0, 0.0]))
+        est = _terminal_estimate(trace, np.array([1.0, 0.0]))
         assert est == pytest.approx(pi[0], abs=0.02)
 
     def test_estimates_converge_to_exact_smoothing(self, small_model):
@@ -505,8 +508,11 @@ class TestFilter:
         errs = []
         for m in (256, 4096):
             ests = [
-                smc_run(small_model, "optimal", ResamplingPolicy(trigger="always"), m,
-                        np.random.SeedSequence([3, m, r])).terminal_estimate([1.0, 0.0])
+                _terminal_estimate(
+                    smc_run(small_model, "optimal", ResamplingPolicy(trigger="always"), m,
+                            np.random.SeedSequence([3, m, r])),
+                    [1.0, 0.0],
+                )
                 for r in range(60)
             ]
             errs.append(np.sqrt(np.mean((np.array(ests) - truth) ** 2)))
@@ -538,18 +544,18 @@ class TestLinearGaussian:
         means, variances = model.kalman_filter()
         trace = smc_run(model, "optimal", ResamplingPolicy(trigger="cv", kappa2=1.0),
                         60_000, 31)
-        est = trace.terminal_estimate(lambda x: x)
+        est = trace.terminal_estimate(trace.current.paths[:, -1])
         assert est == pytest.approx(means[-1], abs=4.5 * math.sqrt(variances[-1] / 60_000) + 0.01)
 
     def test_prior_and_optimal_agree(self):
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6])
         est = {}
         for kind in ("prior", "optimal"):
-            ests = [
-                smc_run(model, kind, ResamplingPolicy(trigger="always"), 4096,
-                        np.random.SeedSequence([8, r])).terminal_estimate(lambda x: x)
-                for r in range(40)
-            ]
+            ests = []
+            for r in range(40):
+                trace = smc_run(model, kind, ResamplingPolicy(trigger="always"), 4096,
+                                np.random.SeedSequence([8, r]))
+                ests.append(trace.terminal_estimate(trace.current.paths[:, -1]))
             est[kind] = np.mean(ests)
         assert est["prior"] == pytest.approx(est["optimal"], abs=0.03)
 

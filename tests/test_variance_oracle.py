@@ -188,12 +188,12 @@ class TestFlatLikelihoodReductions:
         # adds nothing for past-measurable functions
         model = DiscreteHMM([0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 4)
         state = recursion_init(model, "prior", cv(math.inf))
-        first_coord = lambda path: float(path[0] == 0)
         base = state.sigma2(np.array([1.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(2, 5):
                 state = recursion_step(state)
+                first_coord = (np.indices((2,) * state.k)[0] == 0).astype(float)
                 assert state.sigma2(first_coord) == pytest.approx(base, abs=1e-13)
 
     def test_always_resample_cascade_closed_form(self):
@@ -290,13 +290,13 @@ class TestCrossKindMonteCarlo:
             policy = ResamplingPolicy(trigger="cv", kappa2=kappa2)
         sigma2 = run_recursion(bench_model, kind, policy, horizon=4).sigma2(f)
         m, reps = 2048, 250
-        errs = np.array([
-            math.sqrt(m) * (
-                smc_run(bench_model, kind, policy, m,
-                        np.random.SeedSequence([23, m, r]), horizon=4)
-                .terminal_estimate(f) - truth
-            )
+        traces = (
+            smc_run(bench_model, kind, policy, m, np.random.SeedSequence([23, m, r]), horizon=4)
             for r in range(reps)
+        )
+        errs = np.array([
+            math.sqrt(m) * (trace.terminal_estimate(f[trace.current.paths[:, -1]]) - truth)
+            for trace in traces
         ])
         ratio = float(np.var(errs, ddof=1)) / sigma2
         # sampling noise of the ratio is about sqrt(2/reps) = 9 percent
