@@ -13,7 +13,7 @@ import numpy as np
 from smclimits import (
     DiscreteHMM,
     ResamplingPolicy,
-    exact_joint_smoothing,
+    filter_marginal,
     random_likelihood_table,
     run_recursion,
     smc_run,
@@ -38,10 +38,10 @@ for rec, step in zip(trace.records[1:], state.steps[1:]):
           f"{str(rec.resampled):>9s}   {step.epsilon:9d}")
 print()
 
-# --- the terminal estimate against the exact smoothing law ------------------
+# --- the terminal estimate against the exact filter law ---------------------
 # the estimate takes f at the particles: look the terminal states up in f's table
 table = np.array([1.0, 0.0])
-truth = exact_joint_smoothing(model, HORIZON).expect_terminal(table)
+truth = filter_marginal(model, HORIZON) @ table
 est = trace.terminal_estimate(table[trace.current.paths[:, -1]])
 print(f"P(terminal state = 0 | record): filter {est:.5f} vs exact {truth:.5f}")
 print()

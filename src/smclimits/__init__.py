@@ -31,8 +31,7 @@ from .state_space import (
     LinearGaussianSSM,
     SmcTrace,
     StepKernel,
-    exact_joint_smoothing,
-    forward_backward_marginals,
+    filter_marginal,
     random_likelihood_table,
     smc_init,
     smc_run,
@@ -79,8 +78,7 @@ __all__ = [
     "LinearGaussianSSM",
     "SmcTrace",
     "StepKernel",
-    "exact_joint_smoothing",
-    "forward_backward_marginals",
+    "filter_marginal",
     "random_likelihood_table",
     "smc_init",
     "smc_run",

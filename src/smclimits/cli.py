@@ -43,11 +43,11 @@ from .harness import (
     summarize_counterexample,
 )
 from .state_space import (
+    MAX_TABLE_PULLBACKS,
     PROPOSAL_KINDS,
     DiscreteHMM,
     LinearGaussianSSM,
     random_likelihood_table,
-    require_path_space,
 )
 from .variance_oracle import VarianceRecursionState, run_recursion
 from .verify import (
@@ -370,8 +370,6 @@ def cmd_verify_resampling(args, cfg: dict, experiment: ExperimentConfig) -> Outc
 
 def cmd_verify_lln(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     _require("experiment.m_list", require_lln_grid, experiment.particle_counts)
-    if isinstance(experiment.model, DiscreteHMM):  # the truth enumerates every path
-        _require("experiment.horizon", require_path_space, experiment.model, experiment.horizon)
     report = run_replicates(experiment, workers=args.workers)
     check = lln_check(report)
     summary = report.to_json_dict()
@@ -446,6 +444,10 @@ def cmd_counterexample(args, cfg: dict, experiment: ExperimentConfig) -> Outcome
 
 
 def cmd_variance_table(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+    h = experiment.horizon
+    pullbacks = len(experiment.functions) * h * (h - 1) // 2  # row k pulls back k - 1 steps
+    if pullbacks > MAX_TABLE_PULLBACKS:
+        raise ConfigError(f"{pullbacks} pull-backs, over its budget of {MAX_TABLE_PULLBACKS}")
     state = _oracle(experiment)
     tables = [fn.table_for(experiment.model) for fn in experiment.functions]
     header = ["k", "epsilon", "normalizer", "cv2_limit", "gamma_total"] + [

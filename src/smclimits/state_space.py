@@ -24,8 +24,8 @@ Three proposal kernels are built in:
   invariant, then extend as the prior kernel does.
 
 Each kind is defined once, by :func:`step_kernel`; the filter and the
-variance oracle both read that definition.  For discrete models
-everything is exactly enumerable, which the oracle modules rely on; a
+variance oracle both read that definition.  For discrete models every
+oracle quantity is an exact finite sum, which the oracle modules rely on; a
 scalar linear-Gaussian model is included for continuous-state smoke
 tests with Kalman-filter reference values.  :meth:`SmcTrace.terminal_estimate`
 takes f as ``f_values``, its values at the current particles: (m,) or (k, m).
@@ -47,8 +47,9 @@ OPTIMAL = "optimal"
 RESAMPLE_MOVE = "resample_move"
 PROPOSAL_KINDS = (PRIOR, OPTIMAL, RESAMPLE_MOVE)
 
-DEFAULT_PATH_CAP = 4096
 MAX_POPULATION = 2**22  # largest particle count selection may grow a run to
+MAX_ORACLE_CELLS = 2**24  # most array cells the variance recursion may hold at once
+MAX_TABLE_PULLBACKS = 2**20  # most one-step pull-backs of f a variance table may make
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,8 @@ class StepKernel:
 
     This is the one definition of each proposal kind.  The filter samples
     through :meth:`mutate`, and the variance oracle contracts
-    :meth:`apply_rw` and :meth:`push_w2` over path space.
+    :meth:`apply_rw` and :meth:`push_w2` over its window of the last
+    coordinates, in which older coordinates are leading axes.
 
     For discrete models ``prop[parent, child]`` is the law of the new
     coordinate given the parent's last one, and ``w`` is W with a length-1
@@ -338,14 +340,14 @@ class StepKernel:
         return carried, np.log(w)
 
     def apply_rw(self, h: np.ndarray, p: int) -> np.ndarray:
-        """Map h over length-k paths to x -> R(x, W^p h) over length-(k-1) paths."""
+        """Map h on a window ending at x_k to x -> R(x, W^p h) on the one ending at x_{k-1}."""
         rw = self.prop * self.w**p
         if self.moves is None:
             return np.einsum("...ij,ij->...i", h, rw)
         return np.einsum("ecm,mj,...emj->...ec", self.moves, rw, h)
 
     def push_w2(self, meas: np.ndarray) -> np.ndarray:
-        """The adjoint of ``apply_rw(., 2)``: carry a measure forward with density W^2."""
+        """Adjoint of ``apply_rw(., 2)``: carry a measure one coordinate on, with density W^2."""
         rw = self.prop * self.w**2
         if self.moves is None:
             return np.einsum("...i,ij->...ij", meas, rw)
@@ -382,80 +384,20 @@ def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> St
 
 
 # ---------------------------------------------------------------------------
-# Exact smoothing oracles
+# The exact filter law
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathDistribution:
-    """An exact distribution over length-k state paths, one axis per step."""
-
-    probs: np.ndarray  # shape (n,) * k, sums to 1
-
-    @property
-    def steps(self) -> int:
-        return self.probs.ndim
-
-    def marginal(self, step: int) -> np.ndarray:
-        """Marginal law of coordinate ``step`` (1-based)."""
-        axes = tuple(a for a in range(self.probs.ndim) if a != step - 1)
-        return np.sum(self.probs, axis=axes)
-
-    def expect_terminal(self, f_table: np.ndarray) -> float:
-        """Expectation of a function of the terminal coordinate."""
-        return float(np.dot(self.marginal(self.steps), np.asarray(f_table, dtype=float)))
-
-
-
-def require_path_space(model: DiscreteHMM, k: int) -> None:
-    """Raise "path space too large" when the n^k length-k paths exceed the enumeration cap."""
-    if model.n_states**k > DEFAULT_PATH_CAP:
-        raise ValueError(
-            f"path space too large: {model.n_states}^{k} paths exceed {DEFAULT_PATH_CAP}"
-        )
-
-
-def exact_joint_smoothing(model: DiscreteHMM, k: int) -> PathDistribution:
-    """The joint smoothing law over paths of length k, by direct summation.
-
-    Proportional to initial(x_1) g_1(x_1) * prod_j transition(x_{j-1}, x_j)
-    g_j(x_j), normalized over all n^k paths.  Raises "path space too
-    large" beyond the enumeration cap.
-    """
+def filter_marginal(model: DiscreteHMM, k: int) -> np.ndarray:
+    """The filter law of x_k given the record up to step k, by a normalized forward pass."""
     if not 1 <= k <= model.horizon:
         raise ValueError(f"step {k} outside 1..{model.horizon}")
-    require_path_space(model, k)
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
     for j in range(2, k + 1):
-        kernel = model.transition * model.likelihoods[j - 1][None, :]
-        psi = np.einsum("...i,ij->...ij", psi, kernel)
+        psi = psi @ (model.transition * model.likelihoods[j - 1][None, :])
         psi = psi / np.sum(psi)
-    return PathDistribution(psi)
-
-
-def forward_backward_marginals(model: DiscreteHMM, k: int) -> np.ndarray:
-    """Smoothing marginals P(x_j | record up to k) via scaled alpha/beta passes.
-
-    Independent of the path-sum route; used to cross-check
-    :func:`exact_joint_smoothing` and free of the enumeration cap.
-    """
-    if not 1 <= k <= model.horizon:
-        raise ValueError(f"step {k} outside 1..{model.horizon}")
-    n = model.n_states
-    alphas = np.empty((k, n))
-    a = model.initial * model.likelihoods[0]
-    alphas[0] = a / np.sum(a)
-    for j in range(1, k):
-        a = (alphas[j - 1] @ model.transition) * model.likelihoods[j]
-        alphas[j] = a / np.sum(a)
-    betas = np.empty((k, n))
-    betas[k - 1] = 1.0
-    for j in range(k - 2, -1, -1):
-        b = model.transition @ (model.likelihoods[j + 1] * betas[j + 1])
-        betas[j] = b / np.sum(b)
-    marg = alphas * betas
-    return marg / np.sum(marg, axis=1, keepdims=True)
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from smclimits import (
     clt_check,
     counterexample_run,
     equally_weighted,
-    exact_joint_smoothing,
     lln_check,
     recursion_init,
     recursion_step,
@@ -36,6 +35,7 @@ from smclimits.verify import (
     unbiasedness_suite,
     variance_ordering_suite,
 )
+from path_space_reference import exact_joint_smoothing, window_marginal
 from test_variance_oracle import brute_force_sigma2_step2
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -222,7 +222,7 @@ def test_criterion_09_oracle_self_consistency(bench):
     for k in range(2, 6):
         state = recursion_step(state)
         law = exact_joint_smoothing(bench, k)
-        psi_ok &= bool(np.max(np.abs(state.psi - law.probs)) <= 1e-12)
+        psi_ok &= bool(np.max(np.abs(state.steps[-1].psi - window_marginal(law.probs))) <= 1e-12)
     k2_model = DiscreteHMM(
         [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [2.0, 0.5]]
     )

@@ -163,6 +163,14 @@ def _lgssm(**changes) -> dict:
     return {"model": dict(_LGSSM, parameters=dict(_LGSSM["parameters"], **changes))}
 
 
+# 161 states at horizon 4: step 4 of the variance recursion would build a
+# 161^4-cell array, about 5.4 GB
+_BIG_MODEL = {
+    **_hmm(initial=[1 / 161] * 161, transition=[[1 / 161] * 161] * 161),
+    "experiment": {"horizon": 4, "replicates": 200},
+}
+
+
 class TestRejectedUpFront:
     """Configs the run cannot answer correctly exit 2 before any work or output."""
 
@@ -170,14 +178,16 @@ class TestRejectedUpFront:
         "command, patch, message",
         [
             pytest.param(
-                "verify-lln", {"experiment": {"horizon": 13}}, "path space", id="lln-paths"
+                "verify-clt", _BIG_MODEL, "over its budget of 16777216", id="clt-oracle-cells"
             ),
             pytest.param(
-                "verify-clt", {"experiment": {"horizon": 13, "replicates": 200}}, "path space",
-                id="clt-paths",
+                "variance-table", _BIG_MODEL, "over its budget of 16777216",
+                id="table-oracle-cells",
             ),
             pytest.param(
-                "variance-table", {"experiment": {"horizon": 13}}, "path space", id="table-paths"
+                # 1449 rows pull one function back 1449 * 1448 / 2 steps in all
+                "variance-table", {"experiment": {"horizon": 1449}},
+                "over its budget of 1048576", id="table-pullbacks",
             ),
             pytest.param(
                 "verify-lln",
@@ -376,6 +386,39 @@ class TestRejectedUpFront:
         assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+
+class TestTablePullbackBudget:
+    def test_exactly_at_the_budget_runs(self, tmp_path, monkeypatch):
+        cfg_path = _write(tmp_path, _patched({"experiment": {"horizon": 5}}))
+        monkeypatch.setattr(cli, "MAX_TABLE_PULLBACKS", 10)  # 5 * 4 / 2 pull-backs
+        assert main(["variance-table", "--config", cfg_path, "--out-dir", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(cli, "MAX_TABLE_PULLBACKS", 9)
+        assert main(["variance-table", "--config", cfg_path, "--out-dir", str(tmp_path / "b")]) == 2
+        assert not (tmp_path / "b").exists()
+
+
+class TestPastThePathCap:
+    """Horizon 13 on the built-in model, 2^13 paths: the runs answer and write their reports."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, experiment, reports",
+        [
+            ("verify-lln", {"horizon": 13}, ["lln_rows.csv", "lln_summary.json"]),
+            (
+                "verify-clt",
+                {"horizon": 13, "replicates": 200},
+                ["clt_rows.csv", "clt_summary.json"],
+            ),
+            ("variance-table", {"horizon": 13}, ["variance_table.csv", "variance_table.json"]),
+        ],
+    )
+    def test_horizon_13_runs(self, tmp_path, command, experiment, reports):
+        out = tmp_path / "out"
+        cfg_path = _write(tmp_path, _patched({"experiment": experiment}))
+        assert main([command, "--config", cfg_path, "--out-dir", str(out)]) in (0, 1)
+        assert sorted(path.name for path in out.iterdir()) == reports
 
 
 class TestVerifyResampling:

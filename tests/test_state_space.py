@@ -14,14 +14,15 @@ from smclimits import (
     DiscreteHMM,
     LinearGaussianSSM,
     ResamplingPolicy,
-    exact_joint_smoothing,
-    forward_backward_marginals,
+    filter_marginal,
     smc_run,
     smc_step,
     step_kernel,
 )
 from smclimits.state_space import PROPOSAL_KINDS, as_rng
 from smclimits.weighted_sample import cv2_of_weights
+
+from path_space_reference import exact_joint_smoothing, forward_backward_marginals
 
 
 @pytest.fixture
@@ -424,6 +425,37 @@ class TestExactSmoothing:
             exact_joint_smoothing(model, 13)
 
 
+class TestFilterMarginal:
+    """The library's filter law against the path-space and alpha/beta references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), horizon=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_both_references(self, n, horizon, seed):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(n)),
+            rng.dirichlet(np.ones(n), size=n),
+            rng.uniform(0.3, 3.0, size=(horizon, n)),
+        )
+        for k in range(1, horizon + 1):
+            law = filter_marginal(model, k)
+            fb = forward_backward_marginals(model, k)[-1]
+            assert np.allclose(law, fb, rtol=1e-12, atol=0.0)
+            joint = exact_joint_smoothing(model, k).marginal(k)
+            assert np.allclose(law, joint, rtol=1e-12, atol=0.0)
+
+    def test_long_horizon_past_the_cap(self):
+        model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 2.0]] * 1000)
+        law = filter_marginal(model, 1000)
+        assert np.allclose(law, forward_backward_marginals(model, 1000)[-1], rtol=1e-12, atol=0.0)
+        assert float(np.sum(law)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_step_outside_the_horizon_rejected(self, small_model, k):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            filter_marginal(small_model, k)
+
+
 class TestFilter:
     def test_path_lengths_grow_with_step(self, small_model):
         trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="always"), 50, 3)
@@ -504,7 +536,7 @@ class TestFilter:
         assert est == pytest.approx(pi[0], abs=0.02)
 
     def test_estimates_converge_to_exact_smoothing(self, small_model):
-        truth = exact_joint_smoothing(small_model, 4).expect_terminal([1.0, 0.0])
+        truth = float(filter_marginal(small_model, 4) @ np.array([1.0, 0.0]))
         errs = []
         for m in (256, 4096):
             ests = [

@@ -1,28 +1,44 @@
 """Tests for the exact asymptotic-variance recursion.
 
-The key oracle here is an independently coded brute-force evaluator of the
-one-step variance composition, written with bare loops over paths; the
-recursion must reproduce it exactly.
+The key oracles here are an independently coded brute-force evaluator of
+the one-step variance composition, written with bare loops over paths,
+and the path-space recursion of ``path_space_reference``, which keeps
+psi and gamma over all n^k paths; the windowed recursion must reproduce
+both.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smclimits import (
     DiscreteHMM,
     ResamplingPolicy,
     LinearGaussianSSM,
-    exact_joint_smoothing,
+    filter_marginal,
+    random_likelihood_table,
     recursion_init,
     recursion_step,
     run_recursion,
     smc_run,
     step_kernel,
 )
-from smclimits.variance_oracle import _mutation_totals
+from smclimits.cli import DEFAULT_OBS_SEED
+from smclimits.state_space import PROPOSAL_KINDS
+from smclimits.variance_oracle import MAX_ORACLE_CELLS, _mutation_totals, oracle_cells
+
+from path_space_reference import (
+    DEFAULT_PATH_CAP,
+    exact_joint_smoothing,
+    path_recursion_init,
+    path_recursion_step,
+    window_marginal,
+)
 
 
 # several fixtures sit legitimately near the trigger boundary; the warning
@@ -51,7 +67,7 @@ def cv(kappa2):
 def unclamped_cv2_limit(state, kind):
     """gamma~(1) - 1 of the next mutation, before recursion_step clamps it at 0."""
     kernel = step_kernel(state.model, state.k + 1, kind)
-    return _mutation_totals(state, kernel)[1] - 1.0
+    return _mutation_totals(state.steps[-1], kernel)[1] - 1.0
 
 
 def brute_force_sigma2_step2(model, kappa2, f_table):
@@ -113,7 +129,7 @@ class TestInit:
 
     def test_gamma_equals_psi(self, k2_model):
         state = recursion_init(k2_model, "prior", cv(1.0))
-        assert np.array_equal(state.gamma, state.psi)
+        assert np.array_equal(state.steps[-1].gamma, state.steps[-1].psi)
 
 
 class TestStepTwoBruteForce:
@@ -137,7 +153,7 @@ class TestRecursionInvariants:
         for k in range(2, 6):
             state = recursion_step(state)
             law = exact_joint_smoothing(bench_model, k)
-            assert np.allclose(state.psi, law.probs, atol=1e-12)
+            assert np.allclose(state.steps[-1].psi, window_marginal(law.probs), atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     def test_sigma2_nonnegative_and_kills_constants(self, bench_model, kind):
@@ -158,7 +174,7 @@ class TestRecursionInvariants:
             state = recursion_init(bench_model, kind, cv(kappa2))
             for _ in range(2, 6):
                 state = recursion_step(state)
-                assert float(np.sum(state.gamma)) >= 1.0 - 1e-12
+                assert float(np.sum(state.steps[-1].gamma)) >= 1.0 - 1e-12
 
     def test_always_resamples_at_zero_threshold_with_informative_obs(self, bench_model):
         state = run_recursion(bench_model, "prior", cv(0.0), horizon=5)
@@ -176,7 +192,7 @@ class TestFlatLikelihoodReductions:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(2, 5):
-                expected = float(np.sum(state.gamma)) - 1.0
+                expected = float(np.sum(state.steps[-1].gamma)) - 1.0
                 assert unclamped_cv2_limit(state, "prior") == pytest.approx(
                     expected, abs=1e-14
                 )
@@ -185,14 +201,16 @@ class TestFlatLikelihoodReductions:
     def test_past_functions_carry_without_extra_fluctuation(self):
         # with unit weights and no resampling, a function of the first
         # coordinate keeps exactly its step-1 variance: the extension draw
-        # adds nothing for past-measurable functions
+        # adds nothing for past-measurable functions.  A function of the
+        # first coordinate is not terminal, so this runs on the path-space
+        # recursion, which takes functions of the whole path.
         model = DiscreteHMM([0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 4)
-        state = recursion_init(model, "prior", cv(math.inf))
+        state = path_recursion_init(model, "prior", cv(math.inf))
         base = state.sigma2(np.array([1.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(2, 5):
-                state = recursion_step(state)
+                state = path_recursion_step(state)
                 first_coord = (np.indices((2,) * state.k)[0] == 0).astype(float)
                 assert state.sigma2(first_coord) == pytest.approx(base, abs=1e-13)
 
@@ -283,7 +301,7 @@ class TestCrossKindMonteCarlo:
     ])
     def test_scaled_error_variance_ratio(self, bench_model, kind, kappa2):
         f = np.array([1.0, 0.0])
-        truth = exact_joint_smoothing(bench_model, 4).expect_terminal(f)
+        truth = float(np.dot(filter_marginal(bench_model, 4), f))
         if math.isinf(kappa2):
             policy = ResamplingPolicy(trigger="never")
         else:
@@ -336,11 +354,142 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="discrete model"):
             recursion_init(model, "prior", cv(1.0))
 
-    def test_path_space_checked_before_the_first_step(self, monkeypatch):
-        model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 2.0]] * 13)
-        monkeypatch.setattr("smclimits.variance_oracle.recursion_step", None)
-        with pytest.raises(ValueError, match="path space too large"):
+    def test_terminal_table_required(self, bench_model):
+        state = run_recursion(bench_model, "prior", cv(1.0), horizon=3)
+        with pytest.raises(ValueError, match="terminal table"):
+            state.sigma2(np.ones((2, 2, 2)))
+
+
+class TestCellBudget:
+    """The recursion holds at most oracle_cells(n, H, kind) cells and refuses more than 2^24."""
+
+    @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
+    def test_cell_count_matches_the_held_arrays(self, kind):
+        model = DiscreteHMM([0.2, 0.3, 0.5], np.full((3, 3), 1.0 / 3.0), np.ones((6, 3)))
+        for horizon in range(1, 7):
+            state = run_recursion(model, kind, cv(math.inf), horizon=horizon)
+            held = sum(s.psi.size + s.gamma.size for s in state.steps)
+            for s in state.steps[1:]:
+                moves = s.kernel.moves
+                held += s.kernel.prop.size + s.kernel.w.size + (0 if moves is None else moves.size)
+            working = 3 ** min(horizon, 4) if horizon >= 2 else 0
+            assert held + working == oracle_cells(3, horizon, kind)
+
+    @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
+    def test_peak_memory_within_the_count(self, kind):
+        # 24 states at horizon 5: the 24^4-cell working array dominates, and
+        # a second array of that size alive at once would exceed the count
+        n, horizon = 24, 5
+        rng = np.random.default_rng(3)
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(n)),
+            rng.dirichlet(np.ones(n), size=n),
+            rng.uniform(0.5, 2.0, size=(horizon, n)),
+        )
+        tracemalloc.start()
+        try:
+            run_recursion(model, kind, cv(math.inf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * oracle_cells(n, horizon, kind) + 2**16
+
+    def test_both_sides_of_the_budget(self):
+        assert oracle_cells(2, 1000, "prior") == 21_990
+        assert oracle_cells(2, 1000, "resample_move") == 29_974
+        for kind in PROPOSAL_KINDS:
+            assert oracle_cells(161, 4, kind) > MAX_ORACLE_CELLS  # 161^4 working cells
+            assert oracle_cells(200, 50, kind) > MAX_ORACLE_CELLS
+        assert oracle_cells(63, 4, "prior") <= MAX_ORACLE_CELLS < oracle_cells(64, 4, "prior")
+        assert oracle_cells(62, 4, "resample_move") <= MAX_ORACLE_CELLS
+        assert oracle_cells(63, 4, "resample_move") > MAX_ORACLE_CELLS
+
+    def test_budget_checked_before_the_first_step(self, monkeypatch):
+        # 161 states at horizon 4 would hold a 161^4-cell array, about 5.4 GB
+        n = 161
+        model = DiscreteHMM(np.full(n, 1.0 / n), np.full((n, n), 1.0 / n), np.ones((4, n)))
+        monkeypatch.setattr("smclimits.variance_oracle._next_step", None)
+        with pytest.raises(ValueError, match=f"over its budget of {MAX_ORACLE_CELLS}"):
             run_recursion(model, "prior", cv(1.0))
+
+    def test_exactly_at_the_budget_runs(self, bench_model, monkeypatch):
+        need = oracle_cells(2, 5, "prior")
+        monkeypatch.setattr("smclimits.variance_oracle.MAX_ORACLE_CELLS", need)
+        assert run_recursion(bench_model, "prior", cv(1.0), horizon=5).k == 5
+        monkeypatch.setattr("smclimits.variance_oracle.MAX_ORACLE_CELLS", need - 1)
+        with pytest.raises(ValueError, match="budget"):
+            run_recursion(bench_model, "prior", cv(1.0), horizon=5)
+        state = run_recursion(bench_model, "prior", cv(1.0), horizon=4)
+        with pytest.raises(ValueError, match="budget"):
+            recursion_step(state)
+
+
+def _close(a, b, tol=1e-13):
+    return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+
+
+class TestPathSpaceCrossCheck:
+    """The windowed recursion against the path-space one, wherever the paths fit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        kind=st.sampled_from(PROPOSAL_KINDS),
+        policy=st.sampled_from([
+            ResamplingPolicy(trigger="always"),
+            ResamplingPolicy(trigger="never"),
+            cv(0.0),
+            cv(0.5),
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_quantity_agrees(self, n, kind, policy, seed):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        horizon = max(k for k in range(1, 13) if n**k <= DEFAULT_PATH_CAP)
+        model = DiscreteHMM(
+            rng.dirichlet(np.ones(n)),
+            rng.dirichlet(np.ones(n), size=n),
+            rng.uniform(0.3, 3.0, size=(horizon, n)),
+        )
+        f = rng.normal(size=n)
+        state = recursion_init(model, kind, policy)
+        ref = path_recursion_init(model, kind, policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k in range(1, horizon + 1):
+                if k > 1:
+                    state, ref = recursion_step(state), path_recursion_step(ref)
+                step, ref_step = state.steps[-1], ref.steps[-1]
+                assert step.epsilon == ref_step.epsilon
+                if k > 1:
+                    assert _close(step.normalizer, ref_step.normalizer)
+                    assert _close(step.cv2_limit, ref_step.cv2_limit)
+                assert math.isclose(state.sigma2(f), ref.sigma2(f), rel_tol=1e-13)
+                assert np.allclose(step.psi, window_marginal(ref_step.psi), rtol=1e-13, atol=0.0)
+                expected = window_marginal(ref_step.gamma)
+                assert np.allclose(step.gamma, expected, rtol=1e-13, atol=0.0)
+
+
+BUILTIN_LONG = DiscreteHMM(
+    [0.5, 0.5],
+    [[0.9, 0.1], [0.2, 0.8]],
+    random_likelihood_table(1000, 2, obs_seed=DEFAULT_OBS_SEED),
+)
+
+
+class TestLongHorizon:
+    """Far past the reach of path enumeration: 2^1000 paths on the built-in model."""
+
+    @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
+    def test_horizon_1000(self, kind):
+        state = run_recursion(BUILTIN_LONG, kind, cv(1.0))
+        assert state.k == 1000
+        assert math.isfinite(state.sigma2(np.array([1.0, 0.0])))
+
+    def test_stored_cells_grow_linearly(self):
+        model = DiscreteHMM([0.2, 0.3, 0.5], np.full((3, 3), 1.0 / 3.0), np.ones((8, 3)))
+        state = run_recursion(model, "resample_move", cv(1.0))
+        assert sum(s.psi.size for s in state.steps) <= 8 * 3**3
 
 
 class TestVarianceTable:
