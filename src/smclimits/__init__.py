@@ -40,8 +40,6 @@ from .state_space import (
 )
 from .variance_oracle import (
     VarianceRecursionState,
-    recursion_init,
-    recursion_step,
     run_recursion,
 )
 from .harness import (
@@ -85,8 +83,6 @@ __all__ = [
     "smc_step",
     "step_kernel",
     "VarianceRecursionState",
-    "recursion_init",
-    "recursion_step",
     "run_recursion",
     "ExperimentConfig",
     "ExperimentReport",

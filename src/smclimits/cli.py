@@ -36,12 +36,12 @@ from .harness import (
     clt_check,
     counterexample_run,
     lln_check,
-    policy_from_dict,
     require_clt_replicates,
     require_lln_grid,
     run_replicates,
     summarize_counterexample,
 )
+from .resampling import MULTINOMIAL, ResamplingPolicy
 from .state_space import (
     MAX_TABLE_PULLBACKS,
     PROPOSAL_KINDS,
@@ -169,7 +169,7 @@ def _parse_function(entry: dict, index: int) -> TerminalFunction:
 
 def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a config document and assemble the experiment."""
-    _require_keys(cfg, "config", ("model", "proposal", "policy", "experiment"), ("tolerances",))
+    _require_keys(cfg, "config", ("model", "proposal", "policy", "experiment"))
     exp = cfg["experiment"]
     _require_keys(
         exp, "experiment", ("horizon", "functions", "m_list", "replicates", "seed")
@@ -196,11 +196,13 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
     pol = cfg["policy"]
     _require_keys(pol, "policy", (), ("scheme", "trigger", "kappa2", "ell"))
     kappa2 = pol.get("kappa2", 0.0)
-    if kappa2 != "inf":
-        _number(kappa2, "policy.kappa2")
-    _number(pol.get("ell", 1.0), "policy.ell")
     try:
-        policy = policy_from_dict(pol)
+        policy = ResamplingPolicy(
+            scheme=pol.get("scheme", MULTINOMIAL),
+            trigger=pol.get("trigger", "always"),
+            kappa2=math.inf if kappa2 == "inf" else _number(kappa2, "policy.kappa2"),
+            ratio=_number(pol.get("ell", 1.0), "policy.ell"),
+        )
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from exc
 
@@ -339,25 +341,11 @@ def _timed_suite(suite, **kwargs) -> dict:
     return report
 
 
-def cmd_verify_resampling(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
-    tol = cfg.get("tolerances", {})
-    _require_keys(
-        tol, "tolerances", (), ("enumeration", "variance_slack", "limit_weight_rel")
-    )
+def cmd_verify_resampling(args, experiment: ExperimentConfig) -> Outcome:
     suites = [
-        _timed_suite(
-            unbiasedness_suite,
-            seed=experiment.seed, tolerance=float(tol.get("enumeration", 1e-12)),
-        ),
-        _timed_suite(
-            variance_ordering_suite,
-            seed=experiment.seed + 1, slack=float(tol.get("variance_slack", 1e-12)),
-        ),
-        _timed_suite(
-            limit_weight_suite,
-            seed=experiment.seed + 2,
-            rel_tolerance=float(tol.get("limit_weight_rel", 0.02)),
-        ),
+        _timed_suite(unbiasedness_suite, seed=experiment.seed),
+        _timed_suite(variance_ordering_suite, seed=experiment.seed + 1),
+        _timed_suite(limit_weight_suite, seed=experiment.seed + 2),
     ]
     passed = all(s["passed"] for s in suites)
     return Outcome(
@@ -368,7 +356,7 @@ def cmd_verify_resampling(args, cfg: dict, experiment: ExperimentConfig) -> Outc
     )
 
 
-def cmd_verify_lln(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+def cmd_verify_lln(args, experiment: ExperimentConfig) -> Outcome:
     _require("experiment.m_list", require_lln_grid, experiment.particle_counts)
     report = run_replicates(experiment, workers=args.workers)
     check = lln_check(report)
@@ -384,7 +372,7 @@ def cmd_verify_lln(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     )
 
 
-def cmd_verify_clt(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+def cmd_verify_clt(args, experiment: ExperimentConfig) -> Outcome:
     _require("experiment.replicates", require_clt_replicates, experiment.replicates)
     state = _oracle(experiment)
     report = run_replicates(experiment, workers=args.workers)
@@ -415,7 +403,7 @@ def cmd_verify_clt(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
     return Outcome("clt_summary.json", summary, stdout, passed, "clt_rows.csv", report.csv_lines())
 
 
-def cmd_counterexample(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+def cmd_counterexample(args, experiment: ExperimentConfig) -> Outcome:
     m = experiment.particle_counts[0]
     result = counterexample_run(m, experiment.replicates, experiment.seed)
     stats = summarize_counterexample(result.values)
@@ -443,7 +431,7 @@ def cmd_counterexample(args, cfg: dict, experiment: ExperimentConfig) -> Outcome
     )
 
 
-def cmd_variance_table(args, cfg: dict, experiment: ExperimentConfig) -> Outcome:
+def cmd_variance_table(args, experiment: ExperimentConfig) -> Outcome:
     h = experiment.horizon
     pullbacks = len(experiment.functions) * h * (h - 1) // 2  # row k pulls back k - 1 steps
     if pullbacks > MAX_TABLE_PULLBACKS:
@@ -497,7 +485,7 @@ def run_command(args, cfg: dict) -> int:
     """Build the experiment, run one command, write its reports; 0 on PASS, 1 on FAIL."""
     _integer(args.workers, "--workers", 1)
     experiment = build_experiment(cfg, args.seed)
-    outcome = _COMMANDS[args.command](args, cfg, experiment)
+    outcome = _COMMANDS[args.command](args, experiment)
     summary = dict(
         outcome.summary,
         command=args.command,

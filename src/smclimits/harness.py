@@ -160,21 +160,6 @@ def policy_to_dict(policy: ResamplingPolicy) -> dict:
     }
 
 
-def policy_from_dict(d: dict) -> ResamplingPolicy:
-    """Inverse of :func:`policy_to_dict`; ``kappa2`` may be the string "inf"."""
-    kappa2 = d.get("kappa2", 0.0)
-    if kappa2 == "inf":
-        kappa2 = math.inf
-    if not isinstance(kappa2, (int, float)) or (math.isfinite(kappa2) and kappa2 < 0):
-        raise ValueError("kappa2: expected a nonnegative number or 'inf'")
-    return ResamplingPolicy(
-        scheme=d.get("scheme", "multinomial"),
-        trigger=d.get("trigger", "always"),
-        kappa2=float(kappa2),
-        ratio=float(d.get("ell", 1.0)),
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a replication experiment depends on."""
@@ -261,13 +246,10 @@ def _replicate_row(task: tuple[ExperimentConfig, int, int, dict]) -> dict:
         fn.name: trace.terminal_estimate(fn.values_at(config.model, last))
         for fn in config.functions
     }
-    primary = config.functions[0].name
     final = trace.current
     return {
         "m": m,
         "replicate": r,
-        "estimate": estimates[primary],
-        "scaled_error": math.sqrt(m) * (estimates[primary] - truths[primary]),
         "final_ess": final.ess,
         "n_resamples": trace.n_resamples(),
         "final_max_weight_fraction": final.max_weight_fraction,
@@ -324,16 +306,18 @@ class ExperimentReport:
         return [row for row in self.rows if row["m"] == m]
 
     def scaled_errors(self, m: int, function: str | None = None) -> np.ndarray:
-        if function is None:
-            return np.array([row["scaled_error"] for row in self.rows_at(m)])
+        """The scaled errors of ``function`` (default: the first) at particle count m."""
+        function = next(iter(self.truths)) if function is None else function
         return np.array([row["scaled_errors"][function] for row in self.rows_at(m)])
 
     def csv_lines(self) -> list[str]:
+        """One line per replicate, with the first function's estimate and scaled error."""
+        first = next(iter(self.truths))
         lines = ["m,replicate,estimate,scaled_error,final_ess,n_resamples"]
         for row in self.rows:
             lines.append(
-                f"{row['m']},{row['replicate']},{row['estimate']!r},"
-                f"{row['scaled_error']!r},{row['final_ess']!r},{row['n_resamples']}"
+                f"{row['m']},{row['replicate']},{row['estimates'][first]!r},"
+                f"{row['scaled_errors'][first]!r},{row['final_ess']!r},{row['n_resamples']}"
             )
         return lines
 
@@ -422,8 +406,6 @@ def lln_check(
     """
     counts = sorted({row["m"] for row in report.rows})
     require_lln_grid(counts)
-    if function is None:
-        function = next(iter(report.truths))
     rmse = {}
     medians = {}
     for m in counts:

@@ -42,8 +42,9 @@ class ResamplingPolicy:
 
     ``trigger`` is one of "always", "never" or "cv"; with "cv" the filter
     resamples whenever the squared coefficient of variation of the weights
-    reaches ``kappa2`` (non-strict comparison).  ``ratio`` sets the output
-    size as a multiple of the input size.
+    reaches ``kappa2`` (non-strict comparison), which must be nonnegative
+    under every trigger.  ``ratio`` sets the output size as a multiple of
+    the input size.
     """
 
     scheme: str = MULTINOMIAL
@@ -56,7 +57,7 @@ class ResamplingPolicy:
             raise ValueError(f"unknown resampling scheme {self.scheme!r}")
         if self.trigger not in ("always", "never", "cv"):
             raise ValueError(f"unknown trigger {self.trigger!r}")
-        if self.trigger == "cv" and not self.kappa2 >= 0.0:
+        if not self.kappa2 >= 0.0:
             raise ValueError("kappa2 must be nonnegative")
         if not self.ratio > 0.0:
             raise ValueError("the output-size ratio must be positive")

@@ -6,11 +6,9 @@ are paths; at step k each particle is extended by one coordinate through a
 proposal kernel and reweighted, and the system is rejuvenated by
 resampling whenever the weight skewness crosses the policy's threshold.
 
-The filter stores each step's paths by ancestry (Jacob, Murray and
-Rubenthaler, "Path storage in the particle filter", 2015): a step keeps
-only the coordinates the next mutation reads plus the ancestor indices of
-its selection, so its state is O(m) per step.  :meth:`SmcTrace.paths_at`
-rebuilds the full paths on demand.
+Each step keeps only the coordinates the next mutation reads, so the
+filter's state is O(m) per step whatever the horizon: every quantity the
+library reads from a run is a function of the current coordinate.
 
 Three proposal kernels are built in:
 
@@ -412,32 +410,26 @@ class StepRecord:
     ``ess``, ``cv2`` and ``max_weight_fraction`` describe the *mutated*
     (pre-selection) weights, which is what the trigger inspects;
     ``paths``/``weights`` hold the post-selection system.  Weights carry
-    an arbitrary common scale (the log of each step's true normalizing
-    increment is kept separately in ``log_increment``), which leaves every
-    self-normalized quantity untouched.
+    an arbitrary common scale, which leaves every self-normalized quantity
+    untouched.
 
     ``paths`` holds only the columns the next mutation reads: the last
     coordinate, and for ``resample_move`` from step 2 on the one before it
-    as well (the path move rewrites it).  ``ancestors[i]`` is the index of
-    particle i's parent in the previous step's system when selection fired,
-    and ``None`` (each particle its own parent) when it did not.
-    :meth:`SmcTrace.paths_at` rebuilds the full paths from both.
+    as well (the path move rewrites it).
     """
 
     step: int
     ess: float
     cv2: float
     resampled: bool
-    log_increment: float
     max_weight_fraction: float
     paths: np.ndarray
     weights: np.ndarray
-    ancestors: np.ndarray | None = None
 
 
 @dataclass
 class SmcTrace:
-    """The full history of one filter run."""
+    """One filter run: a record per step, each holding only that step's columns."""
 
     model: DiscreteHMM | LinearGaussianSSM
     proposal_kind: str
@@ -452,19 +444,6 @@ class SmcTrace:
     def current(self) -> StepRecord:
         return self.records[-1]
 
-    def paths_at(self, step: int) -> np.ndarray:
-        """The full (m, step) paths of the system at ``step``, traced back by ancestry.
-
-        A record carrying c columns replaces the last c coordinates of its
-        parents' paths: full(k) = [full(k-1)[ancestors][:, :k-c], paths_k].
-        """
-        full = self.records[0].paths
-        for rec in self.records[1:step]:
-            if rec.ancestors is not None:
-                full = full[rec.ancestors]
-            full = np.hstack([full[:, : rec.step - rec.paths.shape[1]], rec.paths])
-        return full
-
     def terminal_estimate(self, f_values) -> float | np.ndarray:
         """Weighted estimate from f at the current particles, e.g. ``table[paths[:, -1]]``."""
         return estimate_of_weights(self.current.weights, f_values)
@@ -477,9 +456,6 @@ class SmcTrace:
 
     def n_resamples(self) -> int:
         return sum(r.resampled for r in self.records)
-
-    def log_normalizer(self) -> float:
-        return float(sum(r.log_increment for r in self.records))
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -511,7 +487,6 @@ def smc_init(
         raise ValueError(f"unknown proposal kind {proposal_kind!r}")
     if isinstance(model, DiscreteHMM):
         first = model.initial * model.likelihoods[0]
-        norm = float(np.sum(first))
         start = np.zeros(m, dtype=np.int64)
         paths = _rows_categorical(np.cumsum(first)[None, :], start, rng)[:, None]
     else:
@@ -519,9 +494,6 @@ def smc_init(
         tau2 = model.obs_std**2
         post_var = v0 * tau2 / (v0 + tau2)
         post_mean = v0 * model.observations[0] / (v0 + tau2)
-        norm = math.exp(-0.5 * model.observations[0] ** 2 / (v0 + tau2)) / math.sqrt(
-            2.0 * math.pi * (v0 + tau2)
-        )
         paths = (post_mean + math.sqrt(post_var) * rng.standard_normal(m))[:, None]
     weights = np.ones(m)
     record = StepRecord(
@@ -529,7 +501,6 @@ def smc_init(
         ess=float(m),
         cv2=0.0,
         resampled=False,
-        log_increment=math.log(norm),
         max_weight_fraction=1.0 / m,
         paths=paths,
         weights=weights,
@@ -551,26 +522,21 @@ def smc_step(trace: SmcTrace, rng: np.random.Generator) -> SmcTrace:
     if k > model.horizon:
         raise ValueError("no observations left: the trace already reached the horizon")
     rec = trace.current
-    weights = rec.weights
     paths, log_inc = step_kernel(model, k, trace.proposal_kind).mutate(rec.paths, rng)
     shift = float(np.max(log_inc))
     if not np.isfinite(shift):
         raise ValueError("weight collapse: non-finite incremental weights")
-    mutated = weights * np.exp(log_inc - shift)
+    mutated = rec.weights * np.exp(log_inc - shift)
     total = float(np.sum(mutated))
-    old_total = float(np.sum(weights))
     if not (total > 0.0 and np.isfinite(total)):
         raise ValueError("weight collapse: all mutated weights vanished")
-    log_increment = shift + math.log(total / old_total)
     cv2 = cv2_of_weights(mutated)
     ess = ess_of_weights(mutated)
     max_frac = float(np.max(mutated)) / total
     fire = policy.should_fire(cv2)
-    ancestors = None
     if fire:
         m_out = policy.output_size(paths.shape[0])
-        ancestors = resample_indices(mutated, m_out, policy.scheme, rng)
-        paths = paths[ancestors]
+        paths = paths[resample_indices(mutated, m_out, policy.scheme, rng)]
         new_weights = np.ones(m_out)
     else:
         new_weights = mutated
@@ -580,11 +546,9 @@ def smc_step(trace: SmcTrace, rng: np.random.Generator) -> SmcTrace:
             ess=ess,
             cv2=cv2,
             resampled=fire,
-            log_increment=log_increment,
             max_weight_fraction=max_frac,
             paths=paths,
             weights=new_weights,
-            ancestors=ancestors,
         )
     )
     return trace

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class _StepState:
 
 @dataclass(frozen=True)
 class VarianceRecursionState:
-    """The recursion's history up to the current step (immutable)."""
+    """The recursion's steps 1 through k (immutable), as :func:`run_recursion` builds them."""
 
     model: DiscreteHMM
     proposal_kind: str
@@ -100,33 +100,6 @@ class VarianceRecursionState:
         return var
 
 
-def recursion_init(
-    model: DiscreteHMM, proposal_kind: str, policy: ResamplingPolicy
-) -> VarianceRecursionState:
-    """Step-1 state: psi_1 = gamma_1 = first filter law, variance functional Var_{psi_1}.
-
-    Raises ValueError unless the recursion models the filter that runs
-    ``policy``: a discrete model and, when selection can fire, multinomial
-    selection at ell = 1.
-    """
-    if not isinstance(model, DiscreteHMM):
-        raise ValueError("the exact variance recursion needs a discrete model")
-    if policy.trigger != "never" and policy.scheme != MULTINOMIAL:
-        raise ValueError(
-            "the exact variance recursion covers multinomial selection only; "
-            "use scheme 'multinomial' (or trigger 'never') here"
-        )
-    if policy.trigger != "never" and policy.ratio != 1.0:
-        raise ValueError(
-            "the exact variance recursion assumes an output size equal to the "
-            "input size; use ell 1 (or trigger 'never') here"
-        )
-    psi = model.initial * model.likelihoods[0]
-    psi = psi / np.sum(psi)
-    step = _StepState(psi=psi, gamma=psi, epsilon=None, normalizer=1.0, cv2_limit=None, kernel=None)
-    return VarianceRecursionState(model, proposal_kind, policy, (step,))
-
-
 def oracle_cells(n_states: int, horizon: int, proposal_kind: str) -> int:
     """The most array cells the recursion through ``horizon`` holds at once.
 
@@ -139,15 +112,6 @@ def oracle_cells(n_states: int, horizon: int, proposal_kind: str) -> int:
     moves = max(horizon - 2, 0) * n**3 if proposal_kind == RESAMPLE_MOVE else 0
     working = n ** min(horizon, WINDOW + 1) if horizon >= 2 else 0
     return windows + max(horizon - 1, 0) * (n**2 + n) + moves + working
-
-
-def _require_budget(model: DiscreteHMM, proposal_kind: str, horizon: int) -> None:
-    cells = oracle_cells(model.n_states, horizon, proposal_kind)
-    if cells > MAX_ORACLE_CELLS:
-        raise ValueError(
-            f"the variance recursion would hold {cells} cells through step {horizon}, "
-            f"over its budget of {MAX_ORACLE_CELLS}"
-        )
 
 
 def _mutation_totals(prev: _StepState, kernel: StepKernel) -> tuple[float, float]:
@@ -165,12 +129,19 @@ def _window(a: np.ndarray, total: float) -> np.ndarray:
     return np.sum(a, axis=0) if a.ndim > WINDOW else a
 
 
-def _next_step(state: VarianceRecursionState, prev: _StepState, k: int) -> _StepState:
-    """Step k of the recursion from step k-1 (see :func:`recursion_step`)."""
-    model, policy = state.model, state.policy
-    if k > model.horizon:
-        raise ValueError("no observations left: the recursion already reached the horizon")
-    kernel = step_kernel(model, k, state.proposal_kind)
+def _next_step(
+    model: DiscreteHMM, proposal_kind: str, policy: ResamplingPolicy, prev: _StepState, k: int
+) -> _StepState:
+    """Step k of the recursion from step k-1: one mutation-selection step.
+
+    The indicator is ``policy.should_fire`` on the limiting squared CV,
+    clamped at 0 as the filter's own statistic is: on flat steps rounding
+    can leave gamma~(1) a few ulps below 1.  Under the "cv" trigger with a
+    finite threshold a warning is emitted when the limiting trigger
+    statistic sits within 10% of the threshold: there the deterministic
+    indicator stops predicting the finite-population decision reliably.
+    """
+    kernel = step_kernel(model, k, proposal_kind)
     normalizer, gamma_total = _mutation_totals(prev, kernel)
     cv2_limit = max(gamma_total - 1.0, 0.0)
     epsilon = int(policy.should_fire(cv2_limit))
@@ -190,29 +161,42 @@ def _next_step(state: VarianceRecursionState, prev: _StepState, k: int) -> _Step
     return _StepState(psi, gamma, epsilon, normalizer, cv2_limit, kernel)
 
 
-def recursion_step(state: VarianceRecursionState) -> VarianceRecursionState:
-    """Advance the recursion by one mutation-selection step.
-
-    The indicator is ``policy.should_fire`` on the limiting squared CV,
-    clamped at 0 as the filter's own statistic is: on flat steps rounding
-    can leave gamma~(1) a few ulps below 1.  Under the "cv" trigger with a
-    finite threshold a warning is emitted when the limiting trigger
-    statistic sits within 10% of the threshold: there the deterministic
-    indicator stops predicting the finite-population decision reliably.
-    """
-    k = state.k + 1
-    _require_budget(state.model, state.proposal_kind, k)
-    return replace(state, steps=state.steps + (_next_step(state, state.steps[-1], k),))
-
-
 def run_recursion(
     model: DiscreteHMM, proposal_kind: str, policy: ResamplingPolicy, horizon: int | None = None
 ) -> VarianceRecursionState:
-    """Run the recursion from step 1 through ``horizon`` (default: all steps)."""
+    """Run the recursion from step 1 through ``horizon`` (default: all steps).
+
+    Step 1 is psi_1 = gamma_1 = the first filter law, with variance
+    functional Var_{psi_1}.  Raises ValueError unless the recursion models
+    the filter that runs ``policy`` (a discrete model and, when selection
+    can fire, multinomial selection at ell = 1), unless 1 <= horizon <=
+    the model's horizon, and when the run would hold more than
+    ``MAX_ORACLE_CELLS`` cells at once.
+    """
+    if not isinstance(model, DiscreteHMM):
+        raise ValueError("the exact variance recursion needs a discrete model")
+    if policy.trigger != "never" and policy.scheme != MULTINOMIAL:
+        raise ValueError(
+            "the exact variance recursion covers multinomial selection only; "
+            "use scheme 'multinomial' (or trigger 'never') here"
+        )
+    if policy.trigger != "never" and policy.ratio != 1.0:
+        raise ValueError(
+            "the exact variance recursion assumes an output size equal to the "
+            "input size; use ell 1 (or trigger 'never') here"
+        )
     horizon = model.horizon if horizon is None else horizon
-    state = recursion_init(model, proposal_kind, policy)
-    _require_budget(model, proposal_kind, horizon)
-    steps = list(state.steps)  # one tuple at the end: appending to it costs O(k) a step
+    if not 1 <= horizon <= model.horizon:
+        raise ValueError(f"horizon outside 1..{model.horizon}")
+    cells = oracle_cells(model.n_states, horizon, proposal_kind)
+    if cells > MAX_ORACLE_CELLS:
+        raise ValueError(
+            f"the variance recursion would hold {cells} cells through step {horizon}, "
+            f"over its budget of {MAX_ORACLE_CELLS}"
+        )
+    psi = model.initial * model.likelihoods[0]
+    psi = psi / np.sum(psi)
+    steps = [_StepState(psi, psi, epsilon=None, normalizer=1.0, cv2_limit=None, kernel=None)]
     for k in range(2, horizon + 1):
-        steps.append(_next_step(state, steps[-1], k))
-    return replace(state, steps=tuple(steps))
+        steps.append(_next_step(model, proposal_kind, policy, steps[-1], k))
+    return VarianceRecursionState(model, proposal_kind, policy, tuple(steps))

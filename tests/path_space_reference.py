@@ -8,7 +8,9 @@ cap; the tests hold the two against each other wherever the paths fit:
   give the smoothing law by direct summation and by alpha/beta passes;
 * :func:`run_path_recursion` is the variance recursion with psi_k and
   gamma_k over full paths, and its :meth:`PathSpaceState.sigma2` also
-  takes functions of the whole path.
+  takes functions of the whole path;
+* :func:`run_with_paths` runs the filter and rebuilds the full paths of
+  every step, which the filter itself does not keep.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from smclimits import DiscreteHMM, StepKernel, step_kernel
+from smclimits import DiscreteHMM, SmcTrace, StepKernel, smc_init, smc_step, step_kernel
+from smclimits import state_space
 from smclimits.variance_oracle import (
     BOUNDARY_MARGIN,
     VarianceRecursionState,
     _StepState,
-    recursion_init,
+    run_recursion,
 )
 
 DEFAULT_PATH_CAP = 4096
@@ -148,7 +151,7 @@ class PathSpaceState(VarianceRecursionState):
 
 def path_recursion_init(model: DiscreteHMM, proposal_kind: str, policy) -> PathSpaceState:
     """Step 1, where the window and the full path coincide."""
-    state = recursion_init(model, proposal_kind, policy)
+    state = run_recursion(model, proposal_kind, policy, horizon=1)
     return PathSpaceState(state.model, state.proposal_kind, state.policy, state.steps)
 
 
@@ -208,3 +211,41 @@ def run_path_recursion(
     for _ in range(2, horizon + 1):
         state = path_recursion_step(state)
     return state
+
+
+def run_with_paths(
+    model, proposal_kind: str, policy, m: int, seed, horizon: int | None = None
+) -> tuple[SmcTrace, list[np.ndarray]]:
+    """Run the filter as ``smc_run`` does; also return the full (m_k, k) paths of every step.
+
+    Each selection's ancestor indices are captured by swapping the
+    module-level ``state_space.resample_indices`` for the run.  A record
+    carrying c columns replaces the last c coordinates of its parents'
+    paths: full(k) = [full(k-1)[ancestors][:, :k-c], paths_k].
+    """
+    horizon = model.horizon if horizon is None else horizon
+    rng = state_space.as_rng(seed)
+    draw = state_space.resample_indices
+    selections = []
+
+    def capture(*args):
+        selections.append(draw(*args))
+        return selections[-1]
+
+    state_space.resample_indices = capture
+    try:
+        trace = smc_init(model, m, proposal_kind, policy, rng)
+        for _ in range(2, horizon + 1):
+            smc_step(trace, rng)
+    finally:
+        state_space.resample_indices = draw
+    assert len(selections) == trace.n_resamples()  # one draw per record that resampled
+    ancestors = iter(selections)
+    full = trace.records[0].paths
+    paths = [full]
+    for rec in trace.records[1:]:
+        if rec.resampled:
+            full = full[next(ancestors)]
+        full = np.hstack([full[:, : rec.step - rec.paths.shape[1]], rec.paths])
+        paths.append(full)
+    return trace, paths

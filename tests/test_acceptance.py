@@ -23,8 +23,6 @@ from smclimits import (
     counterexample_run,
     equally_weighted,
     lln_check,
-    recursion_init,
-    recursion_step,
     run_recursion,
     run_replicates,
     summarize_counterexample,
@@ -179,12 +177,11 @@ def test_criterion_07_adaptive_trigger_limit(bench):
         seed=SEED,
     )
     report = run_replicates(config)
-    state = recursion_init(bench, "prior", config.policy)
+    state = run_recursion(bench, "prior", config.policy, horizon=5)
     oracle_limits, oracle_eps = [], []
-    for _ in range(2, 6):
-        state = recursion_step(state)
-        oracle_limits.append(state.steps[-1].cv2_limit)
-        oracle_eps.append(state.steps[-1].epsilon)
+    for k in range(2, 6):
+        oracle_limits.append(state.steps[k - 1].cv2_limit)
+        oracle_eps.append(state.steps[k - 1].epsilon)
     empirical = report.aggregates[0]["mean_cv2_by_step"][1:]
     rel_errors = [abs(e - o) / o for e, o in zip(empirical, oracle_limits)]
     oracle_pattern = "".join(str(e) for e in oracle_eps)
@@ -218,16 +215,15 @@ def test_criterion_08_residual_counterexample():
 def test_criterion_09_oracle_self_consistency(bench):
     start = time.time()
     psi_ok = True
-    state = recursion_init(bench, "prior", _bench_policy(1.0))
+    state = run_recursion(bench, "prior", _bench_policy(1.0), horizon=5)
     for k in range(2, 6):
-        state = recursion_step(state)
         law = exact_joint_smoothing(bench, k)
-        psi_ok &= bool(np.max(np.abs(state.steps[-1].psi - window_marginal(law.probs))) <= 1e-12)
+        psi_ok &= bool(np.max(np.abs(state.steps[k - 1].psi - window_marginal(law.probs))) <= 1e-12)
     k2_model = DiscreteHMM(
         [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [2.0, 0.5]]
     )
     f = np.array([1.0, 0.0])
-    step2 = recursion_step(recursion_init(k2_model, "prior", _bench_policy(0.0)))
+    step2 = run_recursion(k2_model, "prior", _bench_policy(0.0), horizon=2)
     brute = brute_force_sigma2_step2(k2_model, 0.0, f)
     sigma_err = abs(step2.sigma2(f) - brute)
     elapsed = time.time() - start

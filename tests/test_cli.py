@@ -1,5 +1,6 @@
 """Tests for the command-line front end: schema, exit codes, artifacts."""
 
+import functools
 import hashlib
 import json
 import logging
@@ -351,6 +352,14 @@ class TestRejectedUpFront:
                 id="kappa2-bool",
             ),
             pytest.param(
+                "verify-lln", {"policy": {"kappa2": "1.0"}}, "policy.kappa2: expected a finite",
+                id="kappa2-string",
+            ),
+            pytest.param(
+                "verify-lln", {"policy": {"kappa2": -0.5, "trigger": "always"}},
+                "kappa2 must be nonnegative", id="kappa2-negative-without-cv",
+            ),
+            pytest.param(
                 "verify-lln", _hmm(initial=["0.5", 0.5]),
                 "model.parameters.initial[0]: expected a finite", id="initial-string",
             ),
@@ -433,13 +442,10 @@ class TestVerifyResampling:
             "limit_weight",
         }
 
-    def test_zero_tolerance_fails(self, tmp_path):
-        cfg = default_config()
-        cfg["tolerances"] = {"enumeration": 0.0}
-        code = main(
-            ["verify-resampling", "--config", _write(tmp_path, cfg), "--out-dir", str(tmp_path)]
-        )
-        assert code == 1
+    def test_zero_tolerance_fails(self, tmp_path, monkeypatch):
+        strict = functools.partial(cli.unbiasedness_suite, tolerance=0.0)
+        monkeypatch.setattr(cli, "unbiasedness_suite", strict)
+        assert main(["verify-resampling", "--out-dir", str(tmp_path)]) == 1
 
 
 class TestVarianceTable:
@@ -635,6 +641,15 @@ class TestExitCodes:
         code = main(["verify-clt", "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-resampling", "verify-clt"])
+    def test_tolerances_section_rejected(self, tmp_path, capsys, command):
+        cfg = default_config()
+        cfg["tolerances"] = {"enumeration": 0.0}
+        out = tmp_path / "out"
+        assert main([command, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "unknown keys ['tolerances']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):

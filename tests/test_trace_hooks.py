@@ -6,7 +6,9 @@
 drops out of the per-layer metrics without any error, so one traced pass
 per filter workload runs here at toy size and its exact particle-step
 count is checked against the config: the sum over particle counts of
-m * horizon * replicates.  The ``verify-resampling`` pass runs on the
+m * horizon * replicates.  The counts read from the records each filter
+step leaves (trace and path bytes) and from the oracle's steps (cells)
+must be seen as well.  The ``verify-resampling`` pass runs on the
 built-in config; its check count is fixed by the suites' sizes, and its
 enumeration, moment and sample counts must all be seen.
 """
@@ -24,21 +26,21 @@ BENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize(
-    "command, workload, experiment, particle_steps",
+    "command, workload, experiment, particle_steps, seen",
     [
         pytest.param(
             "verify-clt", "clt-small.json", {"m_list": [64], "replicates": 200},
-            64 * 4 * 200, id="clt-small",
+            64 * 4 * 200, ("variance_oracle.path_cells",), id="clt-small",
         ),
         pytest.param(
             "verify-lln", "lln-long.json",
             {"m_list": [16, 32, 64, 256], "replicates": 4, "horizon": 10},
-            (16 + 32 + 64 + 256) * 10 * 4, id="lln-long",
+            (16 + 32 + 64 + 256) * 10 * 4, (), id="lln-long",
         ),
     ],
 )
 def test_traced_pass_counts_every_particle_step(
-    tmp_path, command, workload, experiment, particle_steps
+    tmp_path, command, workload, experiment, particle_steps, seen
 ):
     cfg = json.loads((BENCH / "workloads" / workload).read_text())
     cfg["experiment"].update(experiment)
@@ -46,7 +48,10 @@ def test_traced_pass_counts_every_particle_step(
     cfg_path.write_text(json.dumps(cfg))
     result = _traced_pass(tmp_path, command, "--config", str(cfg_path))
     assert result["exit"] in (0, 1)
-    assert result["counts"]["state_space.particle_steps"] == particle_steps
+    counts = result["counts"]
+    assert counts["state_space.particle_steps"] == particle_steps
+    for name in ("state_space.trace_bytes", "state_space.path_bytes_copied") + seen:
+        assert counts.get(name, 0) > 0, name
 
 
 def test_traced_pass_sees_the_resampling_suites(tmp_path):

@@ -22,8 +22,6 @@ from smclimits import (
     LinearGaussianSSM,
     filter_marginal,
     random_likelihood_table,
-    recursion_init,
-    recursion_step,
     run_recursion,
     smc_run,
     step_kernel,
@@ -37,6 +35,7 @@ from path_space_reference import (
     exact_joint_smoothing,
     path_recursion_init,
     path_recursion_step,
+    run_path_recursion,
     window_marginal,
 )
 
@@ -65,7 +64,7 @@ def cv(kappa2):
 
 
 def unclamped_cv2_limit(state, kind):
-    """gamma~(1) - 1 of the next mutation, before recursion_step clamps it at 0."""
+    """gamma~(1) - 1 of the next mutation, before the recursion clamps it at 0."""
     kernel = step_kernel(state.model, state.k + 1, kind)
     return _mutation_totals(state.steps[-1], kernel)[1] - 1.0
 
@@ -117,18 +116,18 @@ def brute_force_sigma2_step2(model, kappa2, f_table):
 
 class TestInit:
     def test_constant_function_has_zero_variance(self, k2_model):
-        state = recursion_init(k2_model, "prior", cv(1.0))
+        state = run_recursion(k2_model, "prior", cv(1.0), horizon=1)
         assert state.sigma2(np.array([3.0, 3.0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_indicator_variance(self):
         model = DiscreteHMM(
             [0.6, 0.4], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]]
         )
-        state = recursion_init(model, "prior", cv(1.0))
+        state = run_recursion(model, "prior", cv(1.0))
         assert state.sigma2(np.array([1.0, 0.0])) == pytest.approx(0.24, abs=1e-15)
 
     def test_gamma_equals_psi(self, k2_model):
-        state = recursion_init(k2_model, "prior", cv(1.0))
+        state = run_recursion(k2_model, "prior", cv(1.0), horizon=1)
         assert np.array_equal(state.steps[-1].gamma, state.steps[-1].psi)
 
 
@@ -139,7 +138,7 @@ class TestStepTwoBruteForce:
         f = np.array([f0, f1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            state = recursion_step(recursion_init(k2_model, "prior", cv(kappa2)))
+            state = run_recursion(k2_model, "prior", cv(kappa2), horizon=2)
         assert state.sigma2(f) == pytest.approx(
             brute_force_sigma2_step2(k2_model, kappa2, f), abs=1e-12
         )
@@ -149,11 +148,10 @@ class TestRecursionInvariants:
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     @pytest.mark.parametrize("kappa2", [0.0, 1.0, math.inf])
     def test_psi_matches_exact_smoothing(self, bench_model, kind, kappa2):
-        state = recursion_init(bench_model, kind, cv(kappa2))
+        state = run_recursion(bench_model, kind, cv(kappa2), horizon=5)
         for k in range(2, 6):
-            state = recursion_step(state)
             law = exact_joint_smoothing(bench_model, k)
-            assert np.allclose(state.steps[-1].psi, window_marginal(law.probs), atol=1e-12)
+            assert np.allclose(state.steps[k - 1].psi, window_marginal(law.probs), atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     def test_sigma2_nonnegative_and_kills_constants(self, bench_model, kind):
@@ -171,10 +169,9 @@ class TestRecursionInvariants:
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     def test_gamma_total_at_least_one(self, bench_model, kind):
         for kappa2 in (0.0, 1.0, math.inf):
-            state = recursion_init(bench_model, kind, cv(kappa2))
-            for _ in range(2, 6):
-                state = recursion_step(state)
-                assert float(np.sum(state.steps[-1].gamma)) >= 1.0 - 1e-12
+            state = run_recursion(bench_model, kind, cv(kappa2), horizon=5)
+            for k in range(2, 6):
+                assert float(np.sum(state.steps[k - 1].gamma)) >= 1.0 - 1e-12
 
     def test_always_resamples_at_zero_threshold_with_informative_obs(self, bench_model):
         state = run_recursion(bench_model, "prior", cv(0.0), horizon=5)
@@ -188,15 +185,14 @@ class TestFlatLikelihoodReductions:
     def test_trigger_statistic_is_gamma_total(self):
         # unit weights: the second-moment measure alone drives the trigger
         model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 4)
-        state = recursion_init(model, "prior", cv(math.inf))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for _ in range(2, 5):
+            for k in range(1, 4):
+                state = run_recursion(model, "prior", cv(math.inf), horizon=k)
                 expected = float(np.sum(state.steps[-1].gamma)) - 1.0
                 assert unclamped_cv2_limit(state, "prior") == pytest.approx(
                     expected, abs=1e-14
                 )
-                state = recursion_step(state)
 
     def test_past_functions_carry_without_extra_fluctuation(self):
         # with unit weights and no resampling, a function of the first
@@ -257,7 +253,7 @@ class TestFlatLikelihoodReductions:
 class TestEssLimit:
     def test_constant_weights_give_zero(self):
         model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 3)
-        state = recursion_init(model, "prior", cv(0.0))
+        state = run_recursion(model, "prior", cv(0.0), horizon=1)
         assert unclamped_cv2_limit(state, "prior") == pytest.approx(0.0, abs=1e-14)
 
     def test_nonnegative_on_random_models(self):
@@ -269,12 +265,11 @@ class TestEssLimit:
             g = rng.uniform(0.3, 3.0, size=(3, n))
             model = DiscreteHMM(chi, q, g)
             kind = ["prior", "optimal"][int(rng.integers(0, 2))]
-            state = recursion_init(model, kind, cv(0.0))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for _ in range(2):
+                for k in (1, 2):
+                    state = run_recursion(model, kind, cv(0.0), horizon=k)
                     assert unclamped_cv2_limit(state, kind) >= -1e-12
-                    state = recursion_step(state)
 
     def test_matches_empirical_cv2(self, bench_model):
         never = ResamplingPolicy(trigger="never")
@@ -325,21 +320,19 @@ class TestBoundaryWarning:
     def test_flat_likelihood_at_zero_threshold_warns(self):
         model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 2)
         with pytest.warns(RuntimeWarning, match="threshold"):
-            recursion_step(recursion_init(model, "prior", cv(0.0)))
+            run_recursion(model, "prior", cv(0.0), horizon=2)
 
     def test_far_from_threshold_is_silent(self, bench_model):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            recursion_step(recursion_init(bench_model, "prior", cv(1.0)))
+            run_recursion(bench_model, "prior", cv(1.0), horizon=2)
 
     @pytest.mark.parametrize("trigger", ["always", "never"])
     def test_fixed_triggers_are_silent_on_flat_steps(self, trigger):
         # no threshold to sit near: the warning belongs to the cv trigger
-        state = recursion_init(ROUNDING_MODEL, "prior", ResamplingPolicy(trigger=trigger))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for _ in range(2, 5):
-                state = recursion_step(state)
+            run_recursion(ROUNDING_MODEL, "prior", ResamplingPolicy(trigger=trigger))
 
 
 class TestPreconditions:
@@ -352,7 +345,12 @@ class TestPreconditions:
     def test_continuous_model(self):
         model = LinearGaussianSSM(0.9, 1.0, 0.5, [0.1, 0.2])
         with pytest.raises(ValueError, match="discrete model"):
-            recursion_init(model, "prior", cv(1.0))
+            run_recursion(model, "prior", cv(1.0))
+
+    @pytest.mark.parametrize("horizon", [0, 6])
+    def test_horizon_outside_the_record(self, bench_model, horizon):
+        with pytest.raises(ValueError, match=r"horizon outside 1\.\.5"):
+            run_recursion(bench_model, "prior", cv(1.0), horizon=horizon)
 
     def test_terminal_table_required(self, bench_model):
         state = run_recursion(bench_model, "prior", cv(1.0), horizon=3)
@@ -419,9 +417,6 @@ class TestCellBudget:
         monkeypatch.setattr("smclimits.variance_oracle.MAX_ORACLE_CELLS", need - 1)
         with pytest.raises(ValueError, match="budget"):
             run_recursion(bench_model, "prior", cv(1.0), horizon=5)
-        state = run_recursion(bench_model, "prior", cv(1.0), horizon=4)
-        with pytest.raises(ValueError, match="budget"):
-            recursion_step(state)
 
 
 def _close(a, b, tol=1e-13):
@@ -452,22 +447,20 @@ class TestPathSpaceCrossCheck:
             rng.uniform(0.3, 3.0, size=(horizon, n)),
         )
         f = rng.normal(size=n)
-        state = recursion_init(model, kind, policy)
-        ref = path_recursion_init(model, kind, policy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for k in range(1, horizon + 1):
-                if k > 1:
-                    state, ref = recursion_step(state), path_recursion_step(ref)
-                step, ref_step = state.steps[-1], ref.steps[-1]
-                assert step.epsilon == ref_step.epsilon
-                if k > 1:
-                    assert _close(step.normalizer, ref_step.normalizer)
-                    assert _close(step.cv2_limit, ref_step.cv2_limit)
-                assert math.isclose(state.sigma2(f), ref.sigma2(f), rel_tol=1e-13)
-                assert np.allclose(step.psi, window_marginal(ref_step.psi), rtol=1e-13, atol=0.0)
-                expected = window_marginal(ref_step.gamma)
-                assert np.allclose(step.gamma, expected, rtol=1e-13, atol=0.0)
+            state = run_recursion(model, kind, policy)
+            ref = run_path_recursion(model, kind, policy)
+        for k in range(1, horizon + 1):
+            step, ref_step = state.steps[k - 1], ref.steps[k - 1]
+            assert step.epsilon == ref_step.epsilon
+            if k > 1:
+                assert _close(step.normalizer, ref_step.normalizer)
+                assert _close(step.cv2_limit, ref_step.cv2_limit)
+            assert math.isclose(state.sigma2(f, k), ref.sigma2(f, k), rel_tol=1e-13)
+            assert np.allclose(step.psi, window_marginal(ref_step.psi), rtol=1e-13, atol=0.0)
+            expected = window_marginal(ref_step.gamma)
+            assert np.allclose(step.gamma, expected, rtol=1e-13, atol=0.0)
 
 
 BUILTIN_LONG = DiscreteHMM(
