@@ -1,21 +1,22 @@
 """Weighted samples and their degeneracy diagnostics.
 
 A weighted sample is the universal currency here: points plus nonnegative
-weights, with self-normalized estimates.  This script walks through the
-basic diagnostics and shows why they are scale-free.
+weights, with self-normalized estimates.  Everything below needs only the
+weights and the values of f at the points, so a WeightedSample holds just
+the weights.  This script walks through the basic diagnostics and shows
+why they are scale-free.
 """
 
 import numpy as np
 
-from smclimits import WeightedSample, equally_weighted
+from smclimits import WeightedSample
 
 rng = np.random.default_rng(0)
 
 # A tilted sample: five points with very unequal weights.
-sample = WeightedSample(particles=[0.0, 1.0, 2.0, 3.0, 4.0],
-                        weights=[0.05, 0.1, 0.2, 0.4, 3.0])
-# Estimates take f as its values at the particles: here f(x) = x.
-x = np.array(sample.particles)
+x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+sample = WeightedSample([0.05, 0.1, 0.2, 0.4, 3.0])
+# Estimates take f as its values at the points: here f(x) = x.
 
 print("weighted mean of f(x) = x:", sample.estimate(x))
 print("effective sample size:    ", sample.ess(), "out of", sample.size)
@@ -30,19 +31,19 @@ print()
 # Every diagnostic is invariant under a common rescaling of the weights:
 # only the normalized weights matter.
 for scale in (1e-6, 1.0, 1e6):
-    scaled = sample.rescaled(scale)
+    scaled = WeightedSample(sample.weights * scale)
     print(f"scale {scale:>8.0e}: mean {scaled.estimate(x):.6f} "
           f"ess {scaled.ess():.4f} cv2 {scaled.cv2():.4f}")
 print()
 
 # Equal weights sit at one extreme (ess = M), a single surviving weight at
 # the other (ess = 1).
-print("equal weights, M=8:  ess =", equally_weighted(range(8)).ess())
+print("equal weights, M=8:  ess =", WeightedSample(np.ones(8)).ess())
 print("one survivor, M=8:   ess =",
-      WeightedSample(range(8), [0, 0, 0, 1.0, 0, 0, 0, 0]).ess())
+      WeightedSample([0, 0, 0, 1.0, 0, 0, 0, 0]).ess())
 
-# normalize() rescales the weights to total mass one without touching any
-# estimate.
-normalized = sample.normalize()
-print("\nafter normalize(): total =", normalized.total,
+# Dividing by the total gives weights of total mass one without touching
+# any estimate.
+normalized = WeightedSample(sample.weights / sample.total)
+print("\nnormalized: total =", normalized.total,
       " mean unchanged:", normalized.estimate(x))

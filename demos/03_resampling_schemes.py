@@ -8,8 +8,10 @@ governed by the residual-mass weight 1 - floor(x)/x -- provided no atom's
 expected copy count x sits exactly on an integer.  The final section
 reproduces what goes wrong when one does.
 
-The moment functions take f as its values at the particles, f_values:
-shape (m,) for one function, or (k, m) for k functions in one call.
+Selection sees the input only through its weights: the moment functions
+take a weights-only WeightedSample and f as its values at the points,
+f_values, of shape (m,) for one function, or (k, m) for k functions in one
+call.  A draw is a vector of indices into the input, from resample_indices.
 """
 
 import numpy as np
@@ -21,20 +23,23 @@ from smclimits import (
     conditional_mean,
     conditional_variance,
     counterexample_run,
-    residual_counts,
     residual_limit_weight,
     summarize_counterexample,
 )
+from smclimits.resampling import resample_indices
 
 rng = np.random.default_rng(2)
 
 # --- conditional moments ---------------------------------------------------
-sample = WeightedSample([0.0, 1.0, 2.0], [0.55, 0.25, 0.2])
-f = np.array(sample.particles)  # f(x) = x, as its values at the particles
+f = np.array([0.0, 1.0, 2.0])  # the points, and f(x) = x as its values there
+sample = WeightedSample([0.55, 0.25, 0.2])
 m_out = 10
 
-floors, probs, m_bar = residual_counts(sample, m_out)
-print("guaranteed copies:", floors.tolist(), " residual slots:", m_out - m_bar)
+floors = np.floor(m_out * sample.weights / sample.total).astype(int)
+print("guaranteed copies:", floors.tolist(), " residual slots:", m_out - floors.sum())
+for scheme in (MULTINOMIAL, RESIDUAL):
+    idx = resample_indices(sample.weights, m_out, scheme, rng)
+    print(f"{scheme:12s} draw: indices {idx.tolist()}")
 for scheme in (MULTINOMIAL, RESIDUAL):
     mean = conditional_mean(scheme, sample, f, m_out)
     var = conditional_variance(scheme, sample, f, m_out)
@@ -50,8 +55,7 @@ worst = -np.inf
 for _ in range(500):
     m = int(rng.integers(2, 7))
     values = rng.normal(size=m)
-    ws = WeightedSample([float(v) for v in values],
-                        np.exp(rng.uniform(-3, 3, size=m)))
+    ws = WeightedSample(np.exp(rng.uniform(-3, 3, size=m)))
     k = int(rng.integers(1, 7))
     worst = max(worst, conditional_variance(RESIDUAL, ws, values, k)
                 - conditional_variance(MULTINOMIAL, ws, values, k))

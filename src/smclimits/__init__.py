@@ -17,8 +17,6 @@ from .resampling import (
     ResamplingPolicy,
     conditional_mean,
     conditional_variance,
-    resample,
-    residual_counts,
     residual_deterministic_limit,
     residual_limit_weight,
     residual_regularity_check,
@@ -54,7 +52,7 @@ from .harness import (
     run_replicates,
     summarize_counterexample,
 )
-from .weighted_sample import WeightedSample, equally_weighted
+from .weighted_sample import WeightedSample
 
 __all__ = [
     "__version__",
@@ -64,8 +62,6 @@ __all__ = [
     "ResamplingPolicy",
     "conditional_mean",
     "conditional_variance",
-    "resample",
-    "residual_counts",
     "residual_deterministic_limit",
     "residual_limit_weight",
     "residual_regularity_check",
@@ -95,5 +91,4 @@ __all__ = [
     "run_replicates",
     "summarize_counterexample",
     "WeightedSample",
-    "equally_weighted",
 ]

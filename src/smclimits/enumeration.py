@@ -6,7 +6,7 @@ average are computed here by literally summing over the outcome space.
 Nothing in this module uses the closed-form moment formulas: it is the
 independent route the closed forms are checked against.
 
-f enters as its values at the particles, ``f_values`` of shape (m,), or
+f enters as its values at the input points, ``f_values`` of shape (m,), or
 (k, m) for k functions: the outcomes and their probabilities are then
 listed once for all k.
 """
@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .resampling import MULTINOMIAL, RESIDUAL, _residual_alloc
-from .weighted_sample import WeightedSample, f_value_rows
+from .resampling import MULTINOMIAL, RESIDUAL, _moment_rows, _residual_alloc
+from .weighted_sample import WeightedSample
 
 
 @lru_cache(maxsize=None)
@@ -38,13 +38,13 @@ def enumerated_moments(
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Exact conditional mean and variance of the output average of f.
 
-    ``f_values`` are the f evaluations at the input particles, in order,
+    ``f_values`` are the f evaluations at the input points, in order,
     shape (m,) or (k, m); a (k, m) input gives k means and k variances.
     Every outcome of the scheme is enumerated, so the input must be small
     (the outcome count is m**m_out for multinomial and m**(residual
     draws) for the residual scheme).
     """
-    vals, one = f_value_rows(f_values, sample.size)
+    vals, one = _moment_rows(sample, f_values, m_out)
     m = sample.size
     if scheme == MULTINOMIAL:
         p = sample.weights / sample.total

@@ -1,17 +1,19 @@
 """Unbiased resampling schemes and their exact conditional moments.
 
-Two schemes are provided.  Multinomial resampling draws output particles
-i.i.d. from the normalized weights.  Deterministic-plus-residual sampling
-first keeps floor(m_out * w_i / W) guaranteed copies of particle i, then
-fills the remaining slots i.i.d. from the fractional parts.  Both satisfy
-the unbiasedness condition: the conditional expectation of the output
+Two schemes are provided, and both see the input only through its
+weights.  Multinomial resampling draws output particles i.i.d. from the
+normalized weights.  Deterministic-plus-residual sampling first keeps
+floor(m_out * w_i / W) guaranteed copies of particle i, then fills the
+remaining slots i.i.d. from the fractional parts.  Both satisfy the
+unbiasedness condition: the conditional expectation of the output
 average of any f equals the input weighted estimate of f.
 
 The closed-form conditional mean/variance of the output average are exact
 given the input sample; the residual variance is never larger than the
-multinomial one.  They take f as its values at the particles, ``f_values``
-of shape (m,), or (k, m) for k functions at once: one residual allocation
-then serves all k, and each row gets the arithmetic of a one-row call.
+multinomial one.  They take f as its values at the input points,
+``f_values`` of shape (m,), or (k, m) for k functions at once: one residual
+allocation then serves all k, and each row gets the arithmetic of a
+one-row call.
 The module also hosts the asymptotic quantities that govern the residual
 scheme's large-population variance: the limiting residual-mass weight and
 the limit of the deterministically copied part, evaluated on a finitely
@@ -28,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .weighted_sample import Point, WeightedSample, f_value_rows
+from .weighted_sample import WeightedSample, f_value_rows
 
 MULTINOMIAL = "multinomial"
 RESIDUAL = "residual"
@@ -118,6 +120,8 @@ class ResidualAllocation(NamedTuple):
 
 
 def _residual_alloc(weights: np.ndarray, total: float, m_out: int) -> ResidualAllocation:
+    """Input i gets floor(m_out * w_i / W) copies; the other m_out - m_bar slots
+    are drawn from the fractional parts (``residual_probs`` None if there are none)."""
     weights, total = _normal_scale(weights, total, m_out)
     target = weights * (float(m_out) / total)
     floors = np.floor(target)
@@ -143,10 +147,10 @@ def resample_indices(
 ) -> np.ndarray:
     """Indices into the input that realize one resampling draw.
 
-    Layout for the residual scheme: deterministic copies first, in input
-    order, then the residual draws.  Both the sample-level functions below
-    and the state-space filter route through here, so they realize the
-    same outcome for the same generator state.
+    ``scheme`` is :data:`MULTINOMIAL` (i.i.d. draws proportional to the
+    weights) or :data:`RESIDUAL`, whose layout is the deterministic copies
+    first, in input order, then the residual draws.  This is the one
+    selection entry point; the state-space filter draws through it.
     """
     if m_out < 1:
         raise ValueError("m_out must be >= 1")
@@ -163,30 +167,11 @@ def resample_indices(
     raise ValueError(f"unknown resampling scheme {scheme!r}")
 
 
-def residual_counts(sample: WeightedSample, m_out: int) -> ResidualAllocation:
-    """Split ``m_out`` output slots into guaranteed copies plus a residual pool.
-
-    Particle i receives floor(m_out * w_i / W) guaranteed copies; the
-    leftover m_out - m_bar slots are to be drawn i.i.d. with probabilities
-    proportional to the fractional parts.  When every target count is an
-    integer the residual stage is empty and ``residual_probs`` is None.
-    """
+def _moment_rows(sample: WeightedSample, f_values, m_out: int) -> tuple[np.ndarray, bool]:
+    """:func:`f_value_rows` for a moment of an ``m_out``-point output, checked >= 1."""
     if m_out < 1:
         raise ValueError("m_out must be >= 1")
-    return _residual_alloc(sample.weights, sample.total, m_out)
-
-
-def resample(
-    sample: WeightedSample, scheme: str, m_out: int, rng: np.random.Generator
-) -> WeightedSample:
-    """Resample to ``m_out`` unit-weight copies of input particles.
-
-    ``scheme`` is :data:`MULTINOMIAL` (i.i.d. draws proportional to the
-    weights) or :data:`RESIDUAL` (guaranteed copies first, in input order,
-    then the residual draws); the draws are those of :func:`resample_indices`.
-    """
-    idx = resample_indices(sample.weights, m_out, scheme, rng)
-    return WeightedSample([sample.particles[i] for i in idx], np.ones(m_out))
+    return f_value_rows(f_values, sample.size)
 
 
 def conditional_mean(
@@ -194,17 +179,17 @@ def conditional_mean(
 ) -> float | np.ndarray:
     """Exact conditional expectation of the output average of f.
 
-    ``f_values`` are f at the particles, shape (m,) or (k, m); a (k, m)
+    ``f_values`` are f at the input points, shape (m,) or (k, m); a (k, m)
     input gives k means from one residual allocation.  For any unbiased
     scheme this equals the input weighted estimate; the closed forms below
     make that explicit for both schemes (and are cross checked against
     full outcome enumeration in the test-suite).
     """
-    vals, one = f_value_rows(f_values, sample.size)
+    vals, one = _moment_rows(sample, f_values, m_out)
     if scheme == MULTINOMIAL:
         mean = np.sum(sample.weights * vals, axis=1) / sample.total
     elif scheme == RESIDUAL:
-        floors, probs, m_bar = residual_counts(sample, m_out)
+        floors, probs, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
         det = np.sum(floors * vals, axis=1)
         if probs is None:
             mean = det / m_out
@@ -227,13 +212,13 @@ def conditional_variance(
     probabilities give (m_out - m_bar) * Var_probs(f) / m_out^2, which
     never exceeds the multinomial value.
     """
-    vals, one = f_value_rows(f_values, sample.size)
+    vals, one = _moment_rows(sample, f_values, m_out)
     if scheme == MULTINOMIAL:
         p = sample.weights / sample.total
         mean = np.sum(p * vals, axis=1)
         var = (np.sum(p * vals * vals, axis=1) - mean * mean) / m_out
     elif scheme == RESIDUAL:
-        floors, probs, m_bar = residual_counts(sample, m_out)
+        floors, probs, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
         if probs is None:
             var = np.zeros(vals.shape[0])
         else:
@@ -249,10 +234,10 @@ def conditional_variance(
 class DiscreteDistribution:
     """A finitely supported probability distribution, atoms of (value, prob)."""
 
-    atoms: tuple[tuple[Point, float], ...]
+    atoms: tuple[tuple[float, float], ...]
 
-    def __init__(self, atoms: Sequence[tuple[Point, float]]):
-        atoms = tuple((v, float(p)) for v, p in atoms)
+    def __init__(self, atoms: Sequence[tuple[float, float]]):
+        atoms = tuple((float(v), float(p)) for v, p in atoms)
         probs = np.array([p for _, p in atoms])
         if np.any(probs < 0.0):
             raise ValueError("probabilities must be nonnegative")

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .resampling import MULTINOMIAL, ResamplingPolicy
-from .state_space import MAX_ORACLE_CELLS, RESAMPLE_MOVE, DiscreteHMM, StepKernel, step_kernel
+from .state_space import (MAX_ORACLE_CELLS, PROPOSAL_KINDS, RESAMPLE_MOVE, DiscreteHMM,
+                          StepKernel, step_kernel)
 
 BOUNDARY_MARGIN = 0.1
 WINDOW = 3  # coordinates psi and gamma keep: the path move reads x_{k-2}, x_{k-1}, x_k
@@ -167,12 +168,14 @@ def run_recursion(
     """Run the recursion from step 1 through ``horizon`` (default: all steps).
 
     Step 1 is psi_1 = gamma_1 = the first filter law, with variance
-    functional Var_{psi_1}.  Raises ValueError unless the recursion models
-    the filter that runs ``policy`` (a discrete model and, when selection
-    can fire, multinomial selection at ell = 1), unless 1 <= horizon <=
-    the model's horizon, and when the run would hold more than
-    ``MAX_ORACLE_CELLS`` cells at once.
+    functional Var_{psi_1}.  Raises ValueError on an unknown proposal kind,
+    unless the recursion models the filter that runs ``policy`` (a discrete
+    model and, when selection can fire, multinomial selection at ell = 1),
+    unless 1 <= horizon <= the model's horizon, and when the run would hold
+    more than ``MAX_ORACLE_CELLS`` cells at once.
     """
+    if proposal_kind not in PROPOSAL_KINDS:
+        raise ValueError(f"unknown proposal kind {proposal_kind!r}")
     if not isinstance(model, DiscreteHMM):
         raise ValueError("the exact variance recursion needs a discrete model")
     if policy.trigger != "never" and policy.scheme != MULTINOMIAL:

@@ -104,7 +104,7 @@ def unbiasedness_suite(
     failures = []
     for w in vectors:
         m = w.size
-        sample = WeightedSample(_PARTICLE_VALUES[:m], w)
+        sample = WeightedSample(w)
         f_tables = _test_functions(m)
         estimates = sample.estimate(f_tables).tolist()
         for m_out in range(1, max_m_out + 1):
@@ -152,7 +152,7 @@ def variance_ordering_suite(
         m = int(rng.integers(2, max_m + 1))
         w = np.exp(rng.uniform(-3.0, 3.0, size=m))
         values = rng.normal(size=m)
-        sample = WeightedSample([float(v) for v in values], w)
+        sample = WeightedSample(w)
         m_out = int(rng.integers(1, max_m + 1))
         gap = conditional_variance(RESIDUAL, sample, values, m_out) - conditional_variance(
             MULTINOMIAL, sample, values, m_out
@@ -208,7 +208,7 @@ def limit_weight_suite(
     idx = rng.choice(values.size, size=m, p=tilt)
     points = values[idx]
     # each point is its own weight, and phi and f are the identity
-    sample = WeightedSample(points, points)
+    sample = WeightedSample(points)
     for ell in ratios:
         if not residual_regularity_check(target, ell, values):
             raise ValueError("atoms must keep the limiting copy counts non-integer")

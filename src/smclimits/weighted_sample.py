@@ -1,12 +1,14 @@
 """Weighted samples and their diagnostics.
 
 A weighted sample is an ordered collection of points, each carrying a
-nonnegative importance weight.  All estimators here are self-normalized:
-they depend on the weights only through the normalized vector w_i / sum(w),
-so rescaling every weight by a common positive constant changes nothing.
+nonnegative importance weight, and is held as its weight vector: nothing
+here needs more than the weights and f's values at the points.  All
+estimators are self-normalized: they depend on the weights only through
+w_i / sum(w), so rescaling every weight by a common positive constant
+changes nothing.
 
-Functions of the particles enter as their values: ``f_values`` holds f at
-each particle, in order, with shape (m,) for one function or (k, m) for k
+Functions of the points enter as their values: ``f_values`` holds f at
+each point, in order, with shape (m,) for one function or (k, m) for k
 functions at once.  A (k, m) input gives k results, each by the arithmetic
 a one-row call does.
 """
@@ -14,11 +16,9 @@ a one-row call does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-Point = Any  # a particle: a scalar state or a tuple of states (path)
 
 
 def f_value_rows(f_values, m: int) -> tuple[np.ndarray, bool]:
@@ -79,35 +79,21 @@ def estimate_of_weights(weights: np.ndarray, f_values) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """An immutable weighted sample {(xi_i, w_i)}.
+    """An immutable weighted sample, held as its weights in linear scale.
 
-    Parameters
-    ----------
-    particles : sequence of points
-        The ordered particle positions.  A point may be any object; path
-        particles are tuples whose length equals the current time index.
-    weights : sequence of float
-        Nonnegative, finite weights in linear scale, same length as
-        ``particles``.
-
-    Raises
-    ------
-    ValueError
-        On length mismatch, negative/non-finite weights, or an all-zero
-        weight vector ("degenerate weights": a weighted sample with zero
-        total mass has no normalized form and is treated as a hard error,
-        never silently reset).
+    Raises ``ValueError`` on weights that are not 1-d, empty, negative or
+    non-finite, and on an all-zero vector ("degenerate weights": zero total
+    mass has no normalized form and is a hard error, never silently reset).
     """
 
-    particles: tuple
     weights: np.ndarray
     total: float = field(init=False)
+    size: int = field(init=False)
 
-    def __init__(self, particles: Iterable[Point], weights: Sequence[float] | np.ndarray):
-        particles = tuple(particles)
+    def __init__(self, weights: Sequence[float] | np.ndarray):
         w = np.array(weights, dtype=float, copy=True)
-        if w.ndim != 1 or len(particles) != w.size:
-            raise ValueError("particles and weights must be 1-d and of equal length")
+        if w.ndim != 1:
+            raise ValueError("weights must be 1-d")
         if w.size < 1:
             raise ValueError("a weighted sample holds at least one particle")
         if not np.all(np.isfinite(w)):
@@ -118,13 +104,9 @@ class WeightedSample:
         if total <= 0.0:
             raise ValueError("degenerate weights: total weight is zero")
         w.setflags(write=False)
-        object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "total", total)
-
-    @property
-    def size(self) -> int:
-        return len(self.particles)
+        object.__setattr__(self, "size", w.size)
 
     def estimate(self, f_values) -> float | np.ndarray:
         """Self-normalized weighted mean, see :func:`estimate_of_weights`."""
@@ -149,21 +131,3 @@ class WeightedSample:
         any sequence of consistent samples.
         """
         return float(np.max(self.weights)) / self.total
-
-    def normalize(self) -> "WeightedSample":
-        """Return the same sample with weights rescaled to total 1."""
-        if self.total == 1.0:
-            return self
-        return WeightedSample(self.particles, self.weights / self.total)
-
-    def rescaled(self, factor: float) -> "WeightedSample":
-        """Return the sample with all weights multiplied by ``factor`` > 0."""
-        if factor <= 0.0 or not np.isfinite(factor):
-            raise ValueError("rescaling factor must be positive and finite")
-        return WeightedSample(self.particles, self.weights * factor)
-
-
-def equally_weighted(particles: Iterable[Point]) -> WeightedSample:
-    """Build a unit-weight sample from a sequence of points."""
-    particles = tuple(particles)
-    return WeightedSample(particles, np.ones(len(particles)))

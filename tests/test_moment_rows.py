@@ -1,7 +1,7 @@
 """The resampling moments give, for k rows of f values, k one-row answers.
 
 ``enumerated_moments``, ``conditional_mean``, ``conditional_variance`` and
-``WeightedSample.estimate`` take f as its values at the particles, shape
+``WeightedSample.estimate`` take f as its values at the points, shape
 (m,) or (k, m).  A (k, m) call must give exactly (``==``) the k one-row
 calls, and a one-row call exactly what the callable formulas gave, kept
 below as references.
@@ -18,21 +18,20 @@ from smclimits import (
     WeightedSample,
     conditional_mean,
     conditional_variance,
-    residual_counts,
 )
 from smclimits.enumeration import _all_tuples, enumerated_moments
 from smclimits.resampling import _residual_alloc
 
 
 def _f_values(sample, f):
-    vals = np.fromiter((f(p) for p in sample.particles), dtype=float, count=sample.size)
+    vals = np.fromiter((f(p) for p in range(sample.size)), dtype=float, count=sample.size)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand")
     return vals
 
 
 def reference_estimate(sample, f):
-    vals = np.fromiter((f(p) for p in sample.particles), dtype=float, count=sample.size)
+    vals = np.fromiter((f(p) for p in range(sample.size)), dtype=float, count=sample.size)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand")
     return float(np.sum(sample.weights * vals)) / sample.total
@@ -43,7 +42,7 @@ def reference_mean(scheme, sample, f, m_out):
     if scheme == MULTINOMIAL:
         return float(np.sum(sample.weights * vals)) / sample.total
     if scheme == RESIDUAL:
-        floors, probs, m_bar = residual_counts(sample, m_out)
+        floors, probs, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
         det = float(np.sum(floors * vals))
         if probs is None:
             return det / m_out
@@ -58,7 +57,7 @@ def reference_variance(scheme, sample, f, m_out):
         mean = float(np.sum(p * vals))
         return (float(np.sum(p * vals * vals)) - mean * mean) / m_out
     if scheme == RESIDUAL:
-        floors, probs, m_bar = residual_counts(sample, m_out)
+        floors, probs, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
         if probs is None:
             return 0.0
         mean = float(np.sum(probs * vals))
@@ -121,7 +120,7 @@ def _cases(draw):
     table = draw(
         st.lists(st.lists(_value, min_size=m, max_size=m), min_size=k, max_size=k)
     )
-    return WeightedSample(range(m), weights), np.array(table)
+    return WeightedSample(weights), np.array(table)
 
 
 _SCHEMES = st.sampled_from([MULTINOMIAL, RESIDUAL])
@@ -150,7 +149,7 @@ class TestRowsAreOneRowCalls:
             assert estimates[i] == sample.estimate(row) == reference_estimate(sample, f)
 
     def test_one_row_gives_floats_and_rows_give_arrays(self):
-        sample = WeightedSample(range(3), [0.5, 0.3, 0.2])
+        sample = WeightedSample([0.5, 0.3, 0.2])
         row = np.array([0.0, 1.0, 2.0])
         for scheme in (MULTINOMIAL, RESIDUAL):
             assert isinstance(conditional_mean(scheme, sample, row, 4), float)
@@ -168,13 +167,26 @@ class TestValueChecks:
         ids=["mean", "variance", "enumerated"],
     )
     def test_non_finite_and_misshapen_values_rejected(self, scheme, fn):
-        sample = WeightedSample(range(2), [1.0, 1.0])
+        sample = WeightedSample([1.0, 1.0])
         with pytest.raises(ValueError, match="non-finite integrand"):
             fn(scheme, sample, [0.0, float("nan")], 2)
         with pytest.raises(ValueError, match="non-finite integrand"):
             fn(scheme, sample, [[0.0, 1.0], [float("inf"), 1.0]], 2)
         with pytest.raises(ValueError, match="f_values must have shape"):
             fn(scheme, sample, [0.0, 1.0, 2.0], 2)
+
+    @pytest.mark.parametrize("m_out", [0, -1])
+    @pytest.mark.parametrize("scheme", [MULTINOMIAL, RESIDUAL])
+    @pytest.mark.parametrize(
+        "fn",
+        [conditional_mean, conditional_variance, enumerated_moments],
+        ids=["mean", "variance", "enumerated"],
+    )
+    def test_empty_output_rejected(self, scheme, fn, m_out):
+        # at m_out 0 the multinomial variance was inf, and at -1 it was negative
+        sample = WeightedSample([1.0, 3.0])
+        with pytest.raises(ValueError, match="m_out must be >= 1"):
+            fn(scheme, sample, [0.0, 1.0], m_out)
 
 
 class TestOutcomeTables:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smclimits import (
     MULTINOMIAL,
@@ -13,61 +15,85 @@ from smclimits import (
     WeightedSample,
     conditional_mean,
     conditional_variance,
-    equally_weighted,
-    resample,
-    residual_counts,
     residual_deterministic_limit,
     residual_limit_weight,
     residual_regularity_check,
 )
 from smclimits.enumeration import enumerated_moments
-from smclimits.resampling import categorical_indices, resample_indices
+from smclimits.resampling import _residual_alloc, categorical_indices, resample_indices
+
+
+def _alloc(weights, m_out):
+    weights = np.asarray(weights, dtype=float)
+    return _residual_alloc(weights, float(np.sum(weights)), m_out)
+
+
+# zeros must never be drawn, ties and exact fractions make integer targets
+_weights = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=6,
+).filter(lambda w: any(x > 0.0 for x in w))
+
+
+class TestIndexDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=_weights,
+        m_out=st.integers(1, 12),
+        scheme=st.sampled_from([MULTINOMIAL, RESIDUAL]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_length_range_support_and_guaranteed_copies(self, weights, m_out, scheme, seed):
+        w = np.array(weights)
+        idx = resample_indices(w, m_out, scheme, np.random.default_rng(seed))
+        assert idx.shape == (m_out,)
+        assert np.all((idx >= 0) & (idx < w.size))
+        assert np.all(w[idx] > 0.0)
+        if scheme == RESIDUAL:
+            floors, _, m_bar = _alloc(w, m_out)
+            np.testing.assert_array_equal(idx[:m_bar], np.repeat(np.arange(w.size), floors))
+            assert np.all(np.bincount(idx, minlength=w.size) >= floors)
 
 
 class TestMultinomial:
     def test_single_particle_forced(self, rng):
-        ws = WeightedSample([7.0], [2.0])
-        out = resample(ws, MULTINOMIAL, 5, rng)
-        assert out.particles == (7.0,) * 5
-        assert np.array_equal(out.weights, np.ones(5))
+        idx = resample_indices(np.array([2.0]), 5, MULTINOMIAL, rng)
+        assert idx.tolist() == [0] * 5
 
     def test_zero_weight_excluded(self):
-        ws = WeightedSample([1.0, 2.0], [1.0, 0.0])
+        w = np.array([1.0, 0.0])
         for seed in range(50):
-            out = resample(ws, MULTINOMIAL, 8, np.random.default_rng(seed))
-            assert set(out.particles) == {1.0}
+            idx = resample_indices(w, 8, MULTINOMIAL, np.random.default_rng(seed))
+            assert set(idx.tolist()) == {0}
 
     def test_enumerated_mean_matches_estimate(self):
-        ws = WeightedSample([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
+        ws = WeightedSample([0.5, 0.3, 0.2])
         vals = np.array([0.0, 1.0, 2.0])
         mean, _ = enumerated_moments(MULTINOMIAL, ws, vals, 2)
         assert mean == pytest.approx(ws.estimate(vals), abs=1e-12)
 
-    def test_output_unit_weights(self, rng):
-        ws = WeightedSample([0.0, 1.0], [0.4, 0.6])
-        out = resample(ws, MULTINOMIAL, 7, rng)
-        assert np.array_equal(out.weights, np.ones(7))
-
 
 class TestResidualCounts:
     def test_exact_integer_targets(self):
-        ws = WeightedSample([0, 1, 2], [0.5, 0.3, 0.2])
-        floors, probs, m_bar = residual_counts(ws, 10)
+        floors, probs, m_bar = _alloc([0.5, 0.3, 0.2], 10)
         assert floors.tolist() == [5, 3, 2]
         assert m_bar == 10
         assert probs is None
 
     def test_residual_stage_probabilities(self):
-        ws = WeightedSample([0, 1, 2], [0.55, 0.25, 0.2])
-        floors, probs, m_bar = residual_counts(ws, 10)
+        floors, probs, m_bar = _alloc([0.55, 0.25, 0.2], 10)
         assert floors.tolist() == [5, 2, 2]
         assert m_bar == 9
         assert np.allclose(probs, [0.5, 0.5, 0.0], atol=1e-12)
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-10)
 
     def test_equal_weights_fully_deterministic(self):
-        ws = equally_weighted(range(4))
-        floors, probs, m_bar = residual_counts(ws, 4)
+        floors, probs, m_bar = _alloc(np.ones(4), 4)
         assert floors.tolist() == [1, 1, 1, 1]
         assert m_bar == 4
         assert probs is None
@@ -75,30 +101,27 @@ class TestResidualCounts:
 
 class TestResidualResample:
     def test_fully_deterministic_case(self, rng):
-        ws = WeightedSample([0, 1, 2], [0.5, 0.3, 0.2])
-        out = resample(ws, RESIDUAL, 10, rng)
-        assert out.particles == (0,) * 5 + (1,) * 3 + (2,) * 2
+        idx = resample_indices(np.array([0.5, 0.3, 0.2]), 10, RESIDUAL, rng)
+        assert idx.tolist() == [0] * 5 + [1] * 3 + [2] * 2
 
     def test_enumerated_mean_matches_estimate(self):
-        ws = WeightedSample([0.0, 1.0, 2.0], [0.45, 0.35, 0.2])
+        ws = WeightedSample([0.45, 0.35, 0.2])
         vals = np.array([0.0, 1.0, 2.0])
         mean, _ = enumerated_moments(RESIDUAL, ws, vals, 4)
         assert mean == pytest.approx(ws.estimate(vals), abs=1e-12)
 
     def test_counts_dominate_floors(self):
-        ws = WeightedSample([0, 1, 2], [0.47, 0.34, 0.19])
-        floors, _, _ = residual_counts(ws, 5)
+        w = np.array([0.47, 0.34, 0.19])
+        floors, _, _ = _alloc(w, 5)
         for seed in range(1000):
-            out = resample(ws, RESIDUAL, 5, np.random.default_rng(seed))
-            counts = [out.particles.count(i) for i in range(3)]
+            idx = resample_indices(w, 5, RESIDUAL, np.random.default_rng(seed))
+            counts = np.bincount(idx, minlength=3).tolist()
             assert all(c >= f for c, f in zip(counts, floors))
 
     def test_output_size_and_weights(self, rng):
-        ws = WeightedSample([0, 1], [0.3, 0.7])
         for m_out in (1, 2, 5, 9):
-            out = resample(ws, RESIDUAL, m_out, rng)
-            assert out.size == m_out
-            assert np.array_equal(out.weights, np.ones(m_out))
+            idx = resample_indices(np.array([0.3, 0.7]), m_out, RESIDUAL, rng)
+            assert idx.size == m_out
 
 
 class TestConditionalMoments:
@@ -106,10 +129,7 @@ class TestConditionalMoments:
         for _ in range(50):
             m = int(rng.integers(2, 6))
             vals = rng.normal(size=m)
-            ws = WeightedSample(
-                [float(v) for v in vals],
-                np.exp(rng.uniform(-2, 2, size=m)),
-            )
+            ws = WeightedSample(np.exp(rng.uniform(-2, 2, size=m)))
             m_out = int(rng.integers(1, 7))
             est = ws.estimate(vals)
             for scheme in (MULTINOMIAL, RESIDUAL):
@@ -118,7 +138,7 @@ class TestConditionalMoments:
                 )
 
     def test_multinomial_variance_hand_value(self):
-        ws = WeightedSample([0.0, 1.0], [1.0, 1.0])
+        ws = WeightedSample([1.0, 1.0])
         assert conditional_variance(MULTINOMIAL, ws, [0.0, 1.0], 2) == pytest.approx(
             0.125, abs=1e-15
         )
@@ -127,9 +147,7 @@ class TestConditionalMoments:
         for _ in range(60):
             m = int(rng.integers(2, 5))
             vals = rng.normal(size=m)
-            ws = WeightedSample(
-                [float(v) for v in vals], rng.uniform(0.05, 1.0, size=m)
-            )
+            ws = WeightedSample(rng.uniform(0.05, 1.0, size=m))
             m_out = int(rng.integers(1, 5))
             for scheme in (MULTINOMIAL, RESIDUAL):
                 mean_e, var_e = enumerated_moments(scheme, ws, vals, m_out)
@@ -144,10 +162,7 @@ class TestConditionalMoments:
         for _ in range(100):
             m = int(rng.integers(2, 7))
             vals = rng.normal(size=m)
-            ws = WeightedSample(
-                [float(v) for v in vals],
-                np.exp(rng.uniform(-3, 3, size=m)),
-            )
+            ws = WeightedSample(np.exp(rng.uniform(-3, 3, size=m)))
             m_out = int(rng.integers(1, 7))
             gap = conditional_variance(RESIDUAL, ws, vals, m_out) - conditional_variance(
                 MULTINOMIAL, ws, vals, m_out
@@ -165,13 +180,13 @@ class TestConditionalMoments:
         reps = 10_000
         for scheme in (MULTINOMIAL, RESIDUAL):
             for i, (vals, w, m_out) in enumerate(fixtures):
-                ws = WeightedSample(vals, w)
+                ws = WeightedSample(w)
                 oracle = conditional_variance(scheme, ws, vals, m_out)
                 rng = np.random.default_rng(np.random.SeedSequence([99, i]))
+                points = np.array(vals)
                 draws = np.empty(reps)
                 for r in range(reps):
-                    out = resample(ws, scheme, m_out, rng)
-                    draws[r] = np.mean([float(p) for p in out.particles])
+                    draws[r] = np.mean(points[resample_indices(ws.weights, m_out, scheme, rng)])
                 mc_var = float(np.var(draws, ddof=1))
                 # the variance of a sample variance is roughly 2 var^2 / n
                 se = oracle * math.sqrt(2.0 / reps) if oracle > 0 else 1e-12
@@ -194,8 +209,7 @@ class TestAllocationStress:
             w[w < 0] = 0.0
             if not np.any(w > 0):
                 continue
-            ws = WeightedSample(range(m), w)
-            floors, probs, m_bar = residual_counts(ws, m_out)
+            floors, probs, m_bar = _alloc(w, m_out)
             assert m_bar <= m_out
             assert np.all(floors >= 0)
             if probs is not None:
@@ -203,12 +217,12 @@ class TestAllocationStress:
                 assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-9)
 
     def test_residual_layout_keeps_deterministic_copies_first(self, rng):
-        ws = WeightedSample([0, 1, 2], [0.47, 0.34, 0.19])
-        floors, _, m_bar = residual_counts(ws, 7)
+        w = np.array([0.47, 0.34, 0.19])
+        floors, _, m_bar = _alloc(w, 7)
         expected_head = tuple(np.repeat(np.arange(3), floors))
         for seed in range(25):
-            out = resample(ws, RESIDUAL, 7, np.random.default_rng(seed))
-            assert out.particles[:m_bar] == expected_head
+            idx = resample_indices(w, 7, RESIDUAL, np.random.default_rng(seed))
+            assert tuple(idx[:m_bar]) == expected_head
 
 
 def _within_binomial_band(hits: int, n: int, p: float) -> bool:
@@ -219,7 +233,7 @@ class TestTinyWeightTotals:
     """Totals below the smallest normal float draw as their normalized weights do."""
 
     def test_residual_moments_and_draws_do_not_overflow(self):
-        sample = WeightedSample([0, 1], [1e-310, 2e-310])
+        sample = WeightedSample([1e-310, 2e-310])
         assert conditional_mean(RESIDUAL, sample, [0.0, 1.0], 3) == pytest.approx(2.0 / 3.0)
         assert conditional_variance(RESIDUAL, sample, [0.0, 1.0], 3) == pytest.approx(0.0)
         assert enumerated_moments(RESIDUAL, sample, [0.0, 1.0], 3)[0] == pytest.approx(2.0 / 3.0)

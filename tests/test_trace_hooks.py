@@ -9,8 +9,8 @@ count is checked against the config: the sum over particle counts of
 m * horizon * replicates.  The counts read from the records each filter
 step leaves (trace and path bytes) and from the oracle's steps (cells)
 must be seen as well.  The ``verify-resampling`` pass runs on the
-built-in config; its check count is fixed by the suites' sizes, and its
-enumeration, moment and sample counts must all be seen.
+built-in config; its check, enumeration, moment and sample counts are all
+fixed by the suites' sizes.
 """
 
 import json
@@ -60,9 +60,14 @@ def test_traced_pass_sees_the_resampling_suites(tmp_path):
     counts = result["counts"]
     # 7024 unbiasedness checks, 100 ordering cases, 3 limit-weight ratios
     assert counts["verify.checks"] == 7024 + 100 + 3
-    for name in ("enumeration.calls", "resampling.moments_calls",
-                 "weighted_sample.samples_built"):
-        assert counts[name] > 0, name
+    # one sample per weight vector: 20 adversarial and 200 random unbiasedness
+    # vectors at m <= 4, 100 ordering cases and the limit-weight sample
+    assert counts["weighted_sample.samples_built"] == 321
+    # one enumeration per (vector, output size, scheme): 220 * 4 * 2
+    assert counts["enumeration.calls"] == 1760
+    # a mean and a variance per enumeration, two variances per ordering case
+    # and one per limit-weight ratio
+    assert counts["resampling.moments_calls"] == 3723
 
 
 def _traced_pass(tmp_path, *cli_args) -> dict:

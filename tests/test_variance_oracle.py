@@ -352,6 +352,11 @@ class TestPreconditions:
         with pytest.raises(ValueError, match=r"horizon outside 1\.\.5"):
             run_recursion(bench_model, "prior", cv(1.0), horizon=horizon)
 
+    def test_unknown_kind_at_horizon_one(self, bench_model):
+        # no step kernel is built at horizon 1, so only the up-front check sees the kind
+        with pytest.raises(ValueError, match="unknown proposal kind 'bogus'"):
+            run_recursion(bench_model, "bogus", cv(1.0), horizon=1)
+
     def test_terminal_table_required(self, bench_model):
         state = run_recursion(bench_model, "prior", cv(1.0), horizon=3)
         with pytest.raises(ValueError, match="terminal table"):
