@@ -3,8 +3,9 @@
 The mutation step draws offspring from a proposal kernel R and multiplies
 each weight by W = dL/dR, where L is the target kernel.  On a two-state
 model every proposal kind is one ``StepKernel``: its ``mutate`` moves a
-whole population at once, and its tables give R(x, W f) exactly, so the
-defining unbiasedness property can be checked against Monte Carlo.  The
+whole population at once, and its ``factors`` give R(x, W f) exactly as a
+matrix product, so the defining unbiasedness property can be checked
+against Monte Carlo.  The
 last table shows why the likelihood-tilted ("optimal") proposal is worth
 having: its weights spread less than the prior's.
 """
@@ -23,17 +24,17 @@ rng = np.random.default_rng(1)
 m = 200_000
 parents = rng.integers(0, 2, size=m)[:, None]  # each parent's last coordinate
 f = np.array([0.0, 1.0])  # f(y) = 1 when the new coordinate is state 1
-h = np.tile(f, (2, 1))  # f as a function of the (parent, child) path
 
 # --- exact unbiasedness ------------------------------------------------------
 # The conditional mean of an offspring's W * f, given its parent x, is the
-# target kernel applied to f: R(x, W f) = apply_rw(h, 1)[x].
+# target kernel applied to f: R(x, W f) = (Q @ D @ f)[x], with Q, D = factors(1).
 print("kind      parent   mean of W*f over offspring   R(x, W f) exact")
 kernels = {kind: step_kernel(model, 2, kind) for kind in ("prior", "optimal")}
 for kind, kernel in kernels.items():
     carried, log_w = kernel.mutate(parents, rng)
     wf = np.exp(log_w) * f[carried[:, -1]]
-    exact = kernel.apply_rw(h, 1)
+    q, d = kernel.factors(1)
+    exact = q @ d @ f
     for x in (0, 1):
         mine = parents[:, 0] == x
         print(f"{kind:8s}  {x:6d}   {wf[mine].mean():26.4f}   {exact[x]:15.4f}")

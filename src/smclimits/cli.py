@@ -42,13 +42,7 @@ from .harness import (
     summarize_counterexample,
 )
 from .resampling import MULTINOMIAL, ResamplingPolicy
-from .state_space import (
-    MAX_TABLE_PULLBACKS,
-    PROPOSAL_KINDS,
-    DiscreteHMM,
-    LinearGaussianSSM,
-    random_likelihood_table,
-)
+from .state_space import PROPOSAL_KINDS, DiscreteHMM, LinearGaussianSSM, random_likelihood_table
 from .variance_oracle import VarianceRecursionState, run_recursion
 from .verify import (
     limit_weight_suite,
@@ -432,10 +426,6 @@ def cmd_counterexample(args, experiment: ExperimentConfig) -> Outcome:
 
 
 def cmd_variance_table(args, experiment: ExperimentConfig) -> Outcome:
-    h = experiment.horizon
-    pullbacks = len(experiment.functions) * h * (h - 1) // 2  # row k pulls back k - 1 steps
-    if pullbacks > MAX_TABLE_PULLBACKS:
-        raise ConfigError(f"{pullbacks} pull-backs, over its budget of {MAX_TABLE_PULLBACKS}")
     state = _oracle(experiment)
     tables = [fn.table_for(experiment.model) for fn in experiment.functions]
     header = ["k", "epsilon", "normalizer", "cv2_limit", "gamma_total"] + [

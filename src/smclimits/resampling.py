@@ -30,12 +30,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .weighted_sample import WeightedSample, f_value_rows
+from .weighted_sample import TINY, WeightedSample, f_value_rows, unit_scaled
 
 MULTINOMIAL = "multinomial"
 RESIDUAL = "residual"
 _SCHEMES = (MULTINOMIAL, RESIDUAL)
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,6 @@ class ResamplingPolicy:
         return m_out
 
 
-def _normal_scale(weights: np.ndarray, total: float, room: float = 1.0):
-    """Scale ``weights`` and ``total`` by the exact power of two that brings the
-    total into [0.5, 1), when it is below ``room`` times the smallest normal
-    float: there ``u * total`` is quantised and ``m_out / total`` can
-    overflow.  Other totals are returned as they are, so keep every bit."""
-    if not 0.0 < total < room * _TINY:
-        return weights, total
-    shift = -math.frexp(total)[1]
-    return np.ldexp(weights, shift), math.ldexp(total, shift)
-
-
 def categorical_indices(
     weights: np.ndarray, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -102,8 +90,8 @@ def categorical_indices(
     is written back to its key's draw slot.
     """
     cum = np.cumsum(weights)
-    if cum[-1] < _TINY:
-        cum = np.cumsum(_normal_scale(weights, float(cum[-1]))[0])
+    if cum[-1] < TINY:
+        cum = np.cumsum(unit_scaled(weights, float(cum[-1]))[0])
     u = rng.random(n_draws) * cum[-1]
     order = np.argsort(u)
     idx = np.empty(n_draws, dtype=np.intp)
@@ -122,7 +110,8 @@ class ResidualAllocation(NamedTuple):
 def _residual_alloc(weights: np.ndarray, total: float, m_out: int) -> ResidualAllocation:
     """Input i gets floor(m_out * w_i / W) copies; the other m_out - m_bar slots
     are drawn from the fractional parts (``residual_probs`` None if there are none)."""
-    weights, total = _normal_scale(weights, total, m_out)
+    if total < m_out * TINY:  # else u * total is quantised and m_out / total can overflow
+        weights, total = unit_scaled(weights, total)
     target = weights * (float(m_out) / total)
     floors = np.floor(target)
     # Floors must never exceed the exact targets: if rounding pushed a

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .resampling import ResamplingPolicy, resample_indices
-from .weighted_sample import cv2_of_weights, ess_of_weights, estimate_of_weights
+from .weighted_sample import TINY, cv2_of_weights, ess_of_weights, estimate_of_weights, unit_scaled
 
 PRIOR = "prior"
 OPTIMAL = "optimal"
@@ -47,7 +47,6 @@ PROPOSAL_KINDS = (PRIOR, OPTIMAL, RESAMPLE_MOVE)
 
 MAX_POPULATION = 2**22  # largest particle count selection may grow a run to
 MAX_ORACLE_CELLS = 2**24  # most array cells the variance recursion may hold at once
-MAX_TABLE_PULLBACKS = 2**20  # most one-step pull-backs of f a variance table may make
 
 
 @dataclass(frozen=True)
@@ -229,9 +228,8 @@ class StepKernel:
     """The proposal kernel R and weight W = dL/dR of the mutation into step k.
 
     This is the one definition of each proposal kind.  The filter samples
-    through :meth:`mutate`, and the variance oracle contracts
-    :meth:`apply_rw` and :meth:`push_w2` over its window of the last
-    coordinates, in which older coordinates are leading axes.
+    through :meth:`mutate`, and the variance oracle reads R(., W^p .)
+    between the carried coordinates through :meth:`factors`.
 
     For discrete models ``prop[parent, child]`` is the law of the new
     coordinate given the parent's last one, and ``w`` is W with a length-1
@@ -337,19 +335,20 @@ class StepKernel:
         w = self.w.ravel()[new if self.w.shape[0] == 1 else last]
         return carried, np.log(w)
 
-    def apply_rw(self, h: np.ndarray, p: int) -> np.ndarray:
-        """Map h on a window ending at x_k to x -> R(x, W^p h) on the one ending at x_{k-1}."""
-        rw = self.prop * self.w**p
-        if self.moves is None:
-            return np.einsum("...ij,ij->...i", h, rw)
-        return np.einsum("ecm,mj,...emj->...ec", self.moves, rw, h)
+    def factors(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """R(., W^p .) as Q @ D between carried coordinates, flattened last coordinate fastest.
 
-    def push_w2(self, meas: np.ndarray) -> np.ndarray:
-        """Adjoint of ``apply_rw(., 2)``: carry a measure one coordinate on, with density W^2."""
-        rw = self.prop * self.w**2
-        if self.moves is None:
-            return np.einsum("...i,ij->...ij", meas, rw)
-        return np.einsum("...ec,ecm,mj->...emj", meas, self.moves, rw)
+        Those are x_k, or (x_{k-1}, x_k) for ``resample_move``.  Q maps the
+        parent to its last coordinate m after the move (the identity, or
+        :attr:`moves`), and D is ``prop * w**p``, for ``resample_move`` in
+        block form: it keeps m as the child's first coordinate.
+        """
+        n = self.model.n_states
+        rw = self.prop * self.w**p
+        q = np.eye(n) if self.moves is None else self.moves.reshape(n * n, n)
+        if self.kind != RESAMPLE_MOVE:
+            return q, rw
+        return q, (np.eye(n)[:, :, None] * rw[:, None, :]).reshape(n, n * n)
 
 
 def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> StepKernel:
@@ -512,10 +511,11 @@ def smc_step(trace: SmcTrace, rng: np.random.Generator) -> SmcTrace:
     """Advance the trace by one mutation-selection step under its own model and policy.
 
     Mutation extends every particle once and multiplies its weight by the
-    incremental weight (accumulated in log scale and re-exponentiated
-    against the step's maximum, so long products cannot underflow).  The
-    selection decision compares the mutated weights' squared coefficient
-    of variation with the policy's threshold.
+    incremental weight, re-exponentiated against the step's largest.  The
+    products still shrink at every step without selection, so a largest
+    weight whose square is subnormal is brought into [0.5, 1) by an exact
+    power of two, as are all the others.  Selection fires when the mutated
+    weights' squared CV crosses the policy's threshold.
     """
     model, policy = trace.model, trace.policy
     k = trace.step + 1
@@ -527,12 +527,15 @@ def smc_step(trace: SmcTrace, rng: np.random.Generator) -> SmcTrace:
     if not np.isfinite(shift):
         raise ValueError("weight collapse: non-finite incremental weights")
     mutated = rec.weights * np.exp(log_inc - shift)
+    top = float(np.max(mutated))
+    if top * top < TINY:  # the weights shrink at every step without selection
+        mutated, top = unit_scaled(mutated, top)
     total = float(np.sum(mutated))
     if not (total > 0.0 and np.isfinite(total)):
         raise ValueError("weight collapse: all mutated weights vanished")
     cv2 = cv2_of_weights(mutated)
     ess = ess_of_weights(mutated)
-    max_frac = float(np.max(mutated)) / total
+    max_frac = top / total
     fire = policy.should_fire(cv2)
     if fire:
         m_out = policy.output_size(paths.shape[0])

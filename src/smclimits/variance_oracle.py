@@ -1,32 +1,33 @@
 """Exact asymptotic-variance recursion for the adaptive discrete filter.
 
 For a discrete model every quantity in the filter's central limit theorem
-can be computed by finite summation: the smoothing law psi_k, the
-second-moment measure gamma_k of the weighted system, the deterministic
-resampling indicators epsilon_k implied by the threshold, the per-step
-normalizers, and the asymptotic variance functional sigma_k^2(f).  One
-step of the recursion composes the mutation rule
+is a finite sum: the smoothing law psi_k, the second-moment measure
+gamma_k of the weighted system, the resampling indicators epsilon_k, the
+normalizers and the asymptotic variance sigma_k^2(f).  Mutation, then
+multinomial selection where the filter's own ``ResamplingPolicy.should_fire``
+fires on the limiting squared CV max(gamma~(1) - 1, 0), map step k-1 to k:
 
-    sigma~^2(f) = [ sigma_{k-1}^2( L{f - psi_k(f)} )
-                    + gamma_{k-1} R( {W f - R(., W f)}^2 ) ] / normalizer^2
-    gamma~(f)   = gamma_{k-1} R( W^2 f ) / normalizer^2
-
-with the multinomial-selection rule applied where the filter selects: the
-indicator is the filter's own ``ResamplingPolicy.should_fire`` evaluated
-at the limit of its statistic, the squared coefficient of variation
-max(gamma~(1) - 1, 0):
-
+    sigma~^2(f)  = [ sigma_{k-1}^2( L{f - psi_k(f)} )
+                     + gamma_{k-1} R( {W f - R(., W f)}^2 ) ] / normalizer^2
+    gamma~(f)    = gamma_{k-1} R( W^2 f ) / normalizer^2
     sigma_k^2(f) = epsilon_k Var_{psi_k}(f) + sigma~^2(f)
     gamma_k      = epsilon_k psi_k + (1 - epsilon_k) gamma~
 
-seeded at step 1 by sigma_1^2 = Var_{psi_1} and gamma_1 = psi_1 (an
-i.i.d. draw from the first filter law).  f is a function of x_k alone,
-and each kernel reads at most x_{k-2}, x_{k-1}, x_k, so every pull-back
-L f depends on the last two coordinates: psi_k and gamma_k are kept as
-marginals on the last min(k, 3), at most n^3 cells per step at any
-horizon.  Everything is evaluated by dense tensor contractions over that
-window, so the oracle side of the acceptance tests carries no Monte
-Carlo error at all.
+from sigma_1^2 = Var_{psi_1} and gamma_1 = psi_1, an i.i.d. draw from the
+first filter law (Chopin 2004 gives the same recursion for SISR).
+
+It runs forward on the coordinates the filter carries: x_k, or
+(x_{k-1}, x_k) for ``resample_move``.  There each kernel factors through
+the parent's last coordinate, R W^p = Q_k D_p (``StepKernel.factors``),
+sigma_k^2 is a quadratic form S_k, and with P = I - 1 psi_k^T
+
+    R^T S_k R = epsilon_k (PR)^T diag(psi_k) (PR)
+                + [ (D_1 PR)^T V_{k-1} (D_1 PR) + (PR)^T diag(gamma_{k-1} Q_k D_2) (PR)
+                    - (Q_k D_1 PR)^T diag(gamma_{k-1}) (Q_k D_1 PR) ] / normalizer^2
+
+reads S_{k-1} only through the n x n form V_{k-1} = Q_k^T S_{k-1} Q_k.
+Each step keeps psi_k, gamma_k and its n x n form on terminal tables, so
+a variance is a lookup and the recursion is linear in the horizon.
 """
 
 from __future__ import annotations
@@ -39,20 +40,19 @@ import numpy as np
 
 from .resampling import MULTINOMIAL, ResamplingPolicy
 from .state_space import (MAX_ORACLE_CELLS, PROPOSAL_KINDS, RESAMPLE_MOVE, DiscreteHMM,
-                          StepKernel, step_kernel)
+                          step_kernel)
 
 BOUNDARY_MARGIN = 0.1
-WINDOW = 3  # coordinates psi and gamma keep: the path move reads x_{k-2}, x_{k-1}, x_k
 
 
 @dataclass(frozen=True)
 class _StepState:
-    psi: np.ndarray           # smoothing law on the last min(k, 3) coordinates
+    psi: np.ndarray           # smoothing law on the carried coordinates, x_k fastest
     gamma: np.ndarray         # second-moment measure, same indexing
     epsilon: int | None       # resampling indicator; None at step 1
     normalizer: float         # previous law carried through the target kernel
     cv2_limit: float | None   # limiting squared CV of the mutated weights, >= 0
-    kernel: StepKernel | None  # the step's mutation kernel
+    form: np.ndarray          # sigma_k^2 on terminal tables: f @ form @ f
 
 
 @dataclass(frozen=True)
@@ -80,86 +80,49 @@ class VarianceRecursionState:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.model.n_states,):
             raise ValueError("f must be a terminal table, one value per state")
-        terms = []  # (step, Var_{psi_j}(f_j), mutation term): f is pulled back to step 1
-        for j in range(k, 0, -1):
-            entry = self.steps[j - 1]
-            f = np.broadcast_to(f, entry.psi.shape)
-            mean = float(np.sum(entry.psi * f))
-            var = float(np.sum(entry.psi * (f - mean) ** 2))
-            if j == 1:
-                break
-            # The fluctuation added by the mutation draw acts on the centered
-            # function: the CLT statement fixes mean-zero f up front, and only
-            # the centered form annihilates constants.
-            centered = f - mean
-            second = entry.kernel.apply_rw(centered * centered, 2)
-            f = entry.kernel.apply_rw(centered, 1)  # also the carried L(f - mean)
-            mutation_term = float(np.sum(self.steps[j - 2].gamma * (second - f * f)))
-            terms.append((entry, var, mutation_term))
-        for entry, step_var, mutation_term in reversed(terms):  # then folded forward
-            var = entry.epsilon * step_var + (var + mutation_term) / entry.normalizer**2
-        return var
+        f = f - np.min(f)  # the form kills constants: a near-constant f must not cancel in it
+        return float(f @ self.steps[k - 1].form @ f)
 
 
 def oracle_cells(n_states: int, horizon: int, proposal_kind: str) -> int:
     """The most array cells the recursion through ``horizon`` holds at once.
 
-    Step k keeps psi and gamma (n^min(k, 3) cells each) and its kernel's
-    ``prop`` and ``w`` (n^2 + n), and for ``resample_move`` from step 3 the
-    n^3 move matrices; the last step adds its n^min(H, 4)-cell working array.
+    Each step keeps psi and gamma, c cells each (c = n, or n^2 for
+    ``resample_move`` after step 1), and its n x n form.  The two kernels'
+    factors and the products of a step take at most 8 n c + 4 n^2 more.
     """
-    n, w = n_states, min(horizon, WINDOW)
-    windows = 2 * (sum(n**k for k in range(1, w + 1)) + (horizon - w) * n**WINDOW)
-    moves = max(horizon - 2, 0) * n**3 if proposal_kind == RESAMPLE_MOVE else 0
-    working = n ** min(horizon, WINDOW + 1) if horizon >= 2 else 0
-    return windows + max(horizon - 1, 0) * (n**2 + n) + moves + working
+    n = n_states
+    c = n * n if proposal_kind == RESAMPLE_MOVE and horizon >= 2 else n
+    return 2 * n + n * n + (horizon - 1) * (2 * c + n * n) + 8 * n * c + 4 * n * n
 
 
-def _mutation_totals(prev: _StepState, kernel: StepKernel) -> tuple[float, float]:
-    """The normalizer psi R(W) and the mutated second moment gamma R(W^2) / normalizer^2."""
-    # R(W^p) of the constant 1 depends only on the coordinates the kernel reads
-    ones = np.ones((kernel.model.n_states,) * (3 if kernel.has_move else 2))
-    normalizer = float(np.sum(prev.psi * kernel.apply_rw(ones, 1)))
-    gamma_total = float(np.sum(prev.gamma * kernel.apply_rw(ones, 2))) / normalizer**2
-    return normalizer, gamma_total
+def _gram(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """a^T diag(weights) a."""
+    return a.T @ (weights[:, None] * a)
 
 
-def _window(a: np.ndarray, total: float) -> np.ndarray:
-    """a / total in place (one working array alive at a time), any axis past the window summed."""
-    a /= total
-    return np.sum(a, axis=0) if a.ndim > WINDOW else a
+def _restriction(psi, epsilon=1, mutation=None):
+    """The map R -> R^T S_k R of one step; ``mutation`` is None at step 1.
 
-
-def _next_step(
-    model: DiscreteHMM, proposal_kind: str, policy: ResamplingPolicy, prev: _StepState, k: int
-) -> _StepState:
-    """Step k of the recursion from step k-1: one mutation-selection step.
-
-    The indicator is ``policy.should_fire`` on the limiting squared CV,
-    clamped at 0 as the filter's own statistic is: on flat steps rounding
-    can leave gamma~(1) a few ulps below 1.  Under the "cv" trigger with a
-    finite threshold a warning is emitted when the limiting trigger
-    statistic sits within 10% of the threshold: there the deterministic
-    indicator stops predicting the finite-population decision reliably.
+    Otherwise it holds (V_{k-1}, gamma_{k-1}, Q_k, D_1, gamma_{k-1} Q_k D_2,
+    normalizer), the terms of the module docstring's formula.
     """
-    kernel = step_kernel(model, k, proposal_kind)
-    normalizer, gamma_total = _mutation_totals(prev, kernel)
-    cv2_limit = max(gamma_total - 1.0, 0.0)
-    epsilon = int(policy.should_fire(cv2_limit))
-    if policy.trigger == "cv" and math.isfinite(policy.kappa2):
-        proximity = abs(gamma_total - (1.0 + policy.kappa2)) / (1.0 + policy.kappa2)
-        if proximity < BOUNDARY_MARGIN:
-            warnings.warn(
-                f"trigger statistic within {proximity:.1%} of the threshold at step {k}; "
-                "finite-population decisions may disagree with the indicator",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    target = model.transition * model.likelihoods[k - 1][None, :]
-    psi = np.einsum("...i,ij->...ij", prev.psi, target)
-    psi = _window(psi, np.sum(psi))
-    gamma = psi if epsilon else _window(kernel.push_w2(prev.gamma), normalizer**2)
-    return _StepState(psi, gamma, epsilon, normalizer, cv2_limit, kernel)
+
+    def restrict(r: np.ndarray) -> np.ndarray:
+        pr = r - psi @ r
+        if mutation is None:
+            return _gram(pr, psi)
+        v, gamma, q, d1, gamma2, normalizer = mutation
+        x = d1 @ pr
+        form = x.T @ v @ x
+        form += _gram(pr, gamma2)
+        form -= _gram(q @ x, gamma)  # in place: one working array of each size at a time
+        form /= normalizer**2
+        if epsilon:
+            form += _gram(pr, psi)
+        return form
+
+    return restrict
 
 
 def run_recursion(
@@ -173,6 +136,14 @@ def run_recursion(
     model and, when selection can fire, multinomial selection at ell = 1),
     unless 1 <= horizon <= the model's horizon, and when the run would hold
     more than ``MAX_ORACLE_CELLS`` cells at once.
+
+    The indicator is ``policy.should_fire`` on the limiting squared CV,
+    clamped at 0 as the filter's own statistic is: on flat steps rounding
+    can leave gamma~(1) a few ulps below 1.  Under the "cv" trigger with a
+    finite threshold one warning is emitted when the limiting trigger
+    statistic sits within 10% of the threshold at any step: there the
+    deterministic indicator stops predicting the finite-population
+    decision reliably.
     """
     if proposal_kind not in PROPOSAL_KINDS:
         raise ValueError(f"unknown proposal kind {proposal_kind!r}")
@@ -197,9 +168,38 @@ def run_recursion(
             f"the variance recursion would hold {cells} cells through step {horizon}, "
             f"over its budget of {MAX_ORACLE_CELLS}"
         )
+    n = model.n_states
     psi = model.initial * model.likelihoods[0]
     psi = psi / np.sum(psi)
-    steps = [_StepState(psi, psi, epsilon=None, normalizer=1.0, cv2_limit=None, kernel=None)]
+    restrict = _restriction(psi)
+    steps = [_StepState(psi, psi, None, 1.0, None, restrict(np.eye(n)))]
+    near = []  # (step, proximity) wherever the indicator sits near the threshold
     for k in range(2, horizon + 1):
-        steps.append(_next_step(model, proposal_kind, policy, steps[-1], k))
+        kernel = step_kernel(model, k, proposal_kind)
+        q, d1 = kernel.factors(1)
+        v = restrict(q)
+        prev = steps[-1]
+        psi = prev.psi @ q @ d1
+        normalizer = float(np.sum(psi))
+        psi /= normalizer
+        gamma2 = prev.gamma @ q @ kernel.factors(2)[1]
+        gamma_total = float(np.sum(gamma2)) / normalizer**2
+        cv2_limit = max(gamma_total - 1.0, 0.0)
+        epsilon = int(policy.should_fire(cv2_limit))
+        if policy.trigger == "cv" and math.isfinite(policy.kappa2):
+            proximity = abs(gamma_total - (1.0 + policy.kappa2)) / (1.0 + policy.kappa2)
+            if proximity < BOUNDARY_MARGIN:
+                near.append((k, proximity))
+        restrict = _restriction(psi, epsilon, (v, prev.gamma, q, d1, gamma2, normalizer))
+        gamma = psi if epsilon else gamma2 / normalizer**2
+        form = restrict(np.tile(np.eye(n), (psi.size // n, 1)))  # on tables of x_k, lifted
+        steps.append(_StepState(psi, gamma, epsilon, normalizer, cv2_limit, form))
+    if near:
+        warnings.warn(
+            f"trigger statistic within {min(p for _, p in near):.1%} of the threshold at "
+            f"{len(near)} step(s), the first at step {near[0][0]}; "
+            "finite-population decisions may disagree with the indicator",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return VarianceRecursionState(model, proposal_kind, policy, tuple(steps))

@@ -15,6 +15,7 @@ a one-row call does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +35,15 @@ def f_value_rows(f_values, m: int) -> tuple[np.ndarray, bool]:
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand")
     return np.ascontiguousarray(np.atleast_2d(vals)), vals.ndim == 1
+
+
+TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
+def unit_scaled(weights: np.ndarray, ref: float) -> tuple[np.ndarray, float]:
+    """``weights`` and ``ref`` times the power of two that brings ``ref`` into [0.5, 1), exactly."""
+    shift = -math.frexp(ref)[1]
+    return np.ldexp(weights, shift), math.ldexp(ref, shift)
 
 
 def weight_total(weights: np.ndarray) -> float:
@@ -57,12 +67,16 @@ def cv2_of_weights(weights: np.ndarray) -> float:
 
 
 def ess_of_weights(weights: np.ndarray) -> float:
-    """Effective sample size, (sum w)^2 / sum w^2, in [1, M]."""
+    """Effective sample size, (sum w)^2 / sum w^2, in [1, M], squares kept in the normal range."""
     w = np.asarray(weights, dtype=float)
     total = weight_total(w)
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
-    return total * total / float(np.sum(w * w))
+    squares = float(np.sum(w * w)) if total * total < math.inf else 0.0
+    if squares < TINY:
+        w, total = unit_scaled(w, total)
+        squares = float(np.sum(w * w))
+    return total * total / squares
 
 
 def estimate_of_weights(weights: np.ndarray, f_values) -> float | np.ndarray:

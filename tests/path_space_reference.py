@@ -1,41 +1,40 @@
-"""Path-space reference oracles, for cross-checking the windowed recursion.
+"""Path-space reference oracles, for cross-checking the library's variance recursion.
 
 These enumerate all n^k length-k paths, so they stop at an enumeration
-cap.  The library keeps only a window of the last coordinates and has no
-cap; the tests hold the two against each other wherever the paths fit:
+cap.  The library keeps only the coordinates the filter carries and has
+no cap; the tests hold the two against each other wherever the paths fit:
 
 * :func:`exact_joint_smoothing` and :func:`forward_backward_marginals`
   give the smoothing law by direct summation and by alpha/beta passes;
 * :func:`run_path_recursion` is the variance recursion with psi_k and
-  gamma_k over full paths, and its :meth:`PathSpaceState.sigma2` also
-  takes functions of the whole path;
+  gamma_k over full paths, pulling f back step by step through its own
+  contractions of the kernel tables, and its :meth:`PathSpaceState.sigma2`
+  also takes functions of the whole path;
 * :func:`run_with_paths` runs the filter and rebuilds the full paths of
   every step, which the filter itself does not keep.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from smclimits import DiscreteHMM, SmcTrace, StepKernel, smc_init, smc_step, step_kernel
+from smclimits import (DiscreteHMM, ResamplingPolicy, SmcTrace, StepKernel, smc_init, smc_step,
+                       step_kernel)
 from smclimits import state_space
-from smclimits.variance_oracle import (
-    BOUNDARY_MARGIN,
-    VarianceRecursionState,
-    _StepState,
-    run_recursion,
-)
 
 DEFAULT_PATH_CAP = 4096
 
 
-def window_marginal(a: np.ndarray) -> np.ndarray:
-    """The marginal of a path array on its last min(k, 3) coordinates."""
-    return np.sum(a, axis=tuple(range(a.ndim - min(a.ndim, 3))))
+def carried_marginal(a: np.ndarray, size: int) -> np.ndarray:
+    """The marginal of a path array on the coordinates the filter carries, flattened.
+
+    ``size`` is the carried cell count: n for the last coordinate alone,
+    n^2 for the last two (``resample_move`` from step 2 on).
+    """
+    dims = 1 if size == a.shape[-1] else 2
+    return np.sum(a, axis=tuple(range(a.ndim - dims))).ravel()
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,48 @@ def forward_backward_marginals(model: DiscreteHMM, k: int) -> np.ndarray:
     return marg / np.sum(marg, axis=1, keepdims=True)
 
 
+def pull_back(kernel: StepKernel, h: np.ndarray, p: int) -> np.ndarray:
+    """x -> R(x, W^p h): h over length-k paths to a function over length-(k-1) paths.
+
+    The path move rewrites coordinate k-1 (axis m) given coordinate k-2
+    (axis e) before the extension to coordinate k (axis j).
+    """
+    rw = kernel.prop * kernel.w**p
+    if kernel.moves is None:
+        return np.einsum("...ij,ij->...i", h, rw)
+    return np.einsum("ecm,mj,...emj->...ec", kernel.moves, rw, h)
+
+
+def push_forward(kernel: StepKernel, meas: np.ndarray, p: int) -> np.ndarray:
+    """The adjoint of :func:`pull_back`: a measure over length-(k-1) paths carried to length k."""
+    rw = kernel.prop * kernel.w**p
+    if kernel.moves is None:
+        return np.einsum("...i,ij->...ij", meas, rw)
+    return np.einsum("...ec,ecm,mj->...emj", meas, kernel.moves, rw)
+
+
 @dataclass(frozen=True)
-class PathSpaceState(VarianceRecursionState):
+class PathStep:
+    psi: np.ndarray           # smoothing law over all length-k paths
+    gamma: np.ndarray         # second-moment measure, same indexing
+    epsilon: int | None       # resampling indicator; None at step 1
+    normalizer: float
+    cv2_limit: float | None
+    kernel: StepKernel | None  # the mutation into this step; None at step 1
+
+
+@dataclass(frozen=True)
+class PathSpaceState:
     """The recursion with psi_k and gamma_k over all length-k paths."""
+
+    model: DiscreteHMM
+    proposal_kind: str
+    policy: ResamplingPolicy
+    steps: tuple[PathStep, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.steps)
 
     def path_function(self, f, k: int | None = None) -> np.ndarray:
         """f as an array over length-k paths; ``f`` is one, or a terminal-coordinate table."""
@@ -141,8 +179,8 @@ class PathSpaceState(VarianceRecursionState):
         # function: the CLT statement fixes mean-zero f up front, and only
         # the centered form annihilates constants.
         centered = f - mean
-        second = entry.kernel.apply_rw(centered * centered, 2)
-        first = entry.kernel.apply_rw(centered, 1)  # also the carried L(f - mean)
+        second = pull_back(entry.kernel, centered * centered, 2)
+        first = pull_back(entry.kernel, centered, 1)  # also the carried L(f - mean)
         mutation_term = float(np.sum(prev.gamma * (second - first * first)))
         carried = self._sigma2(j - 1, first)
         base = (carried + mutation_term) / entry.normalizer**2
@@ -150,17 +188,11 @@ class PathSpaceState(VarianceRecursionState):
 
 
 def path_recursion_init(model: DiscreteHMM, proposal_kind: str, policy) -> PathSpaceState:
-    """Step 1, where the window and the full path coincide."""
-    state = run_recursion(model, proposal_kind, policy, horizon=1)
-    return PathSpaceState(state.model, state.proposal_kind, state.policy, state.steps)
-
-
-def _mutation_totals(state: PathSpaceState, kernel: StepKernel) -> tuple[float, float]:
-    """The normalizer psi R(W) and the mutated second moment gamma R(W^2) / normalizer^2."""
-    ones = np.ones((kernel.model.n_states,) * kernel.k)
-    normalizer = float(np.sum(state.steps[-1].psi * kernel.apply_rw(ones, 1)))
-    gamma_total = float(np.sum(state.steps[-1].gamma * kernel.apply_rw(ones, 2))) / normalizer**2
-    return normalizer, gamma_total
+    """Step 1: psi_1 = gamma_1 = the first filter law."""
+    psi = model.initial * model.likelihoods[0]
+    psi = psi / np.sum(psi)
+    first = PathStep(psi, psi, None, 1.0, None, None)
+    return PathSpaceState(model, proposal_kind, policy, (first,))
 
 
 def path_recursion_step(state: PathSpaceState) -> PathSpaceState:
@@ -171,33 +203,17 @@ def path_recursion_step(state: PathSpaceState) -> PathSpaceState:
         raise ValueError("no observations left: the recursion already reached the horizon")
     require_path_space(model, k)
     kernel = step_kernel(model, k, state.proposal_kind)
-    normalizer, gamma_total = _mutation_totals(state, kernel)
+    prev = state.steps[-1]
+    ones = np.ones((model.n_states,) * k)
+    normalizer = float(np.sum(prev.psi * pull_back(kernel, ones, 1)))
+    gamma_total = float(np.sum(prev.gamma * pull_back(kernel, ones, 2))) / normalizer**2
     cv2_limit = max(gamma_total - 1.0, 0.0)
     epsilon = int(policy.should_fire(cv2_limit))
-    if policy.trigger == "cv" and math.isfinite(policy.kappa2):
-        proximity = abs(gamma_total - (1.0 + policy.kappa2)) / (1.0 + policy.kappa2)
-        if proximity < BOUNDARY_MARGIN:
-            warnings.warn(
-                f"trigger statistic within {proximity:.1%} of the threshold at step {k}; "
-                "finite-population decisions may disagree with the indicator",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     target = model.transition * model.likelihoods[k - 1][None, :]
-    psi = np.einsum("...i,ij->...ij", state.steps[-1].psi, target)
+    psi = np.einsum("...i,ij->...ij", prev.psi, target)
     psi = psi / np.sum(psi)
-    if epsilon:
-        gamma = psi
-    else:
-        gamma = kernel.push_w2(state.steps[-1].gamma) / normalizer**2
-    step = _StepState(
-        psi=psi,
-        gamma=gamma,
-        epsilon=epsilon,
-        normalizer=normalizer,
-        cv2_limit=cv2_limit,
-        kernel=kernel,
-    )
+    gamma = psi if epsilon else push_forward(kernel, prev.gamma, 2) / normalizer**2
+    step = PathStep(psi, gamma, epsilon, normalizer, cv2_limit, kernel)
     return replace(state, steps=state.steps + (step,))
 
 

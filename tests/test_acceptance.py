@@ -32,7 +32,7 @@ from smclimits.verify import (
     unbiasedness_suite,
     variance_ordering_suite,
 )
-from path_space_reference import exact_joint_smoothing, window_marginal
+from path_space_reference import exact_joint_smoothing
 from test_variance_oracle import brute_force_sigma2_step2
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -217,7 +217,7 @@ def test_criterion_09_oracle_self_consistency(bench):
     state = run_recursion(bench, "prior", _bench_policy(1.0), horizon=5)
     for k in range(2, 6):
         law = exact_joint_smoothing(bench, k)
-        psi_ok &= bool(np.max(np.abs(state.steps[k - 1].psi - window_marginal(law.probs))) <= 1e-12)
+        psi_ok &= bool(np.max(np.abs(state.steps[k - 1].psi - law.marginal(k))) <= 1e-12)
     k2_model = DiscreteHMM(
         [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0], [2.0, 0.5]]
     )

@@ -132,6 +132,18 @@ class TestVerifyLln:
         assert main(["verify-lln", "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_weights_that_shrink_for_3000_steps_end_in_a_verdict(self, tmp_path, capsys):
+        # without selection the carried weights shrink at every step; their
+        # squares once underflowed in the ESS, an exit-3 division by zero
+        cfg = default_config()
+        cfg["policy"]["trigger"] = "never"
+        cfg["experiment"].update(
+            {"horizon": 3000, "m_list": [64, 128, 256, 1024], "replicates": 2}
+        )
+        cfg_path = _write(tmp_path, cfg)
+        assert main(["verify-lln", "--config", cfg_path, "--out-dir", str(tmp_path)]) in (0, 1)
+        assert capsys.readouterr().out.startswith(("PASS lln slope=", "FAIL lln slope="))
+
 
 _DROP = object()  # a patch value that removes its key
 
@@ -164,11 +176,11 @@ def _lgssm(**changes) -> dict:
     return {"model": dict(_LGSSM, parameters=dict(_LGSSM["parameters"], **changes))}
 
 
-# 161 states at horizon 4: step 4 of the variance recursion would build a
-# 161^4-cell array, about 5.4 GB
+# 300 states over 200 steps: the variance recursion would keep 200 forms of
+# 300^2 cells, past its cell budget
 _BIG_MODEL = {
-    **_hmm(initial=[1 / 161] * 161, transition=[[1 / 161] * 161] * 161),
-    "experiment": {"horizon": 4, "replicates": 200},
+    **_hmm(initial=[1 / 300] * 300, transition=[[1 / 300] * 300] * 300),
+    "experiment": {"horizon": 200, "replicates": 200},
 }
 
 
@@ -184,11 +196,6 @@ class TestRejectedUpFront:
             pytest.param(
                 "variance-table", _BIG_MODEL, "over its budget of 16777216",
                 id="table-oracle-cells",
-            ),
-            pytest.param(
-                # 1449 rows pull one function back 1449 * 1448 / 2 steps in all
-                "variance-table", {"experiment": {"horizon": 1449}},
-                "over its budget of 1048576", id="table-pullbacks",
             ),
             pytest.param(
                 "verify-lln",
@@ -397,14 +404,15 @@ class TestRejectedUpFront:
         assert message in capsys.readouterr().err
 
 
-class TestTablePullbackBudget:
-    def test_exactly_at_the_budget_runs(self, tmp_path, monkeypatch):
-        cfg_path = _write(tmp_path, _patched({"experiment": {"horizon": 5}}))
-        monkeypatch.setattr(cli, "MAX_TABLE_PULLBACKS", 10)  # 5 * 4 / 2 pull-backs
-        assert main(["variance-table", "--config", cfg_path, "--out-dir", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr(cli, "MAX_TABLE_PULLBACKS", 9)
-        assert main(["variance-table", "--config", cfg_path, "--out-dir", str(tmp_path / "b")]) == 2
-        assert not (tmp_path / "b").exists()
+class TestLongVarianceTable:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_horizon_10000_runs(self, tmp_path):
+        # one lookup per row: the table is linear in the horizon
+        cfg_path = _write(tmp_path, _patched({"experiment": {"horizon": 10_000}}))
+        out = tmp_path / "out"
+        assert main(["variance-table", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        rows = (out / "variance_table.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 10_001))
 
 
 class TestPastThePathCap:
@@ -479,7 +487,9 @@ class TestCounterexample:
 # sha256 of every report at toy sizes, taken before the CLI's report layer was
 # rewritten: exit code, stdout, each CSV, and each summary JSON without its
 # "version" key (the library version is expected to change).  The
-# verify-resampling digest was taken before the moments took rows of f values.
+# verify-resampling digest was taken before the moments took rows of f values,
+# the verify-clt and variance-table ones after sigma^2 became a quadratic form
+# carried forward.
 REPORT_DIGESTS = {
     "verify-clt": (
         {"horizon": 3, "m_list": [32], "replicates": 200},
@@ -487,16 +497,16 @@ REPORT_DIGESTS = {
             "exit": 1,
             "stdout": "a5edf3da46afe12f7d6ce42106454e518e384f6a51b58052f25f59654e7981b8",
             "clt_rows.csv": "3d233f6bdb0c7eb2aebce1d6a1c161a84125be13475af76d54bcbfdd622829b6",
-            "clt_summary.json": "e055c7aab2f6ee826fde74d5422db58ef364a2549743c06620cceeb5bf2da07a",
+            "clt_summary.json": "a1b8914eb3014c8dfcf14db117fff2c5bfde7debdfd249e4c1ada4496b3f6b65",
         },
     ),
     "variance-table": (
         {"horizon": 5},
         {
             "exit": 0,
-            "stdout": "13141900e1b3572130e580bf496f002a403d1bfbef471f34dd060aa64dab526d",
-            "variance_table.csv": "13141900e1b3572130e580bf496f002a403d1bfbef471f34dd060aa64dab526d",
-            "variance_table.json": "58e4198d6c1c13a9e1643df52d1c8bdadef272db626c98b15a31e4b9d2b299ac",
+            "stdout": "b6a593f46a71c541f1218c7573991d90c9839189566f098cfdddfacafb6924b9",
+            "variance_table.csv": "b6a593f46a71c541f1218c7573991d90c9839189566f098cfdddfacafb6924b9",
+            "variance_table.json": "98e8c4dfdf9afbac24b539dd4ac582aefcb8d2cbefb0e7c88a495a60a6cbd869",
         },
     ),
     "verify-resampling": (

@@ -71,10 +71,12 @@ class TestMutationUnbiasedness:
         for kind in ("prior", "optimal", "resample_move"):
             kernel = step_kernel(MODEL, 3, kind)
             totals = _joint_conditional_expectations(kernel, parents, weights, f)
-            h = np.broadcast_to([f(j) for j in range(2)], (2, 2, 2))  # f of the new coordinate
-            target = kernel.apply_rw(h, 1)
+            q, d = kernel.factors(1)
+            h = np.tile([f(j) for j in range(2)], d.shape[1] // 2)  # f of the new coordinate
+            dims = 1 if q.shape[0] == 2 else 2  # x_2, or (x_1, x_2) behind the path move
+            target = (q @ d @ h).reshape((2,) * dims)
             for i, x in enumerate(parents):
-                assert totals[i] == pytest.approx(weights[i] * target[x], abs=1e-12)
+                assert totals[i] == pytest.approx(weights[i] * target[x[-dims:]], abs=1e-12)
 
 
 class TestMutationConsistency:
@@ -85,9 +87,8 @@ class TestMutationConsistency:
         kernel = step_kernel(MODEL, 2, "prior")
         nu = np.array([0.35, 0.65])
         values = np.array([0.0, 1.0])
-        truth = float(nu @ kernel.apply_rw(np.tile(values, (2, 1)), 1)) / float(
-            nu @ kernel.apply_rw(np.ones((2, 2)), 1)
-        )
+        q, d = kernel.factors(1)
+        truth = float(nu @ q @ d @ values) / float(np.sum(nu @ q @ d))
         rmse = {}
         for m in (500, 8000):
             errs = []

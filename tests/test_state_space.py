@@ -210,7 +210,7 @@ def _chi2_statistic(counts: np.ndarray, expected: np.ndarray) -> tuple[float, in
 
 
 class TestStepKernel:
-    """The sampler and the oracle operators read one kernel."""
+    """The sampler and the oracle's factors read one kernel."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -223,15 +223,20 @@ class TestStepKernel:
     def test_sampler_and_oracle_agree(self, model_seed, draw_seed, n, kind, k):
         model = _random_hmm(model_seed, n)
         kernel = step_kernel(model, k, kind)
-        # each row of R sums to 1, and R(x, W h) is the target kernel applied to h
-        assert kernel.apply_rw(np.ones((n,) * k), 0) == pytest.approx(1.0, abs=1e-12)
-        h = np.random.default_rng(draw_seed).normal(size=(n,) * k)
-        rw = kernel.apply_rw(h, 1)
+        # between carried coordinates R W^p = Q @ D: each row of R sums to 1,
+        # and R(x, W h) is the target kernel applied to h
+        q, d = kernel.factors(0)
+        assert q @ d @ np.ones(d.shape[1]) == pytest.approx(1.0, abs=1e-12)
+        q, d = kernel.factors(1)
+        parent_dims, child_dims = (1 if size == n else 2 for size in (q.shape[0], d.shape[1]))
+        h = np.random.default_rng(draw_seed).normal(size=(n,) * child_dims)
+        rw = (q @ d @ h.ravel()).reshape((n,) * parent_dims)
         parents = list(itertools.product(range(n), repeat=k - 1))
         for x in parents:
-            assert rw[x] == pytest.approx(
-                _independent_target_expectation(model, k, kind, x, lambda y: h[y]), abs=1e-12
+            expected = _independent_target_expectation(
+                model, k, kind, x, lambda y: h[y[-child_dims:]]
             )
+            assert rw[x[-parent_dims:]] == pytest.approx(expected, abs=1e-12)
         # the sampler's draws, on a pinned seed, follow R: the new coordinate
         # from prop, and behind the path move the moved coordinate from moves
         draws = 4000

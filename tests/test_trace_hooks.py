@@ -8,7 +8,9 @@ per filter workload runs here at toy size and its exact particle-step
 count is checked against the config: the sum over particle counts of
 m * horizon * replicates.  The counts read from the records each filter
 step leaves (trace and path bytes) and from the oracle's steps (cells)
-must be seen as well.  The ``verify-resampling`` pass runs on the
+must be seen as well, and on ``clt-small`` the oracle's timed calls: the
+benchmark marks that workload incorrect when ``run_recursion`` or
+``sigma2`` reads 0 s.  The ``verify-resampling`` pass runs on the
 built-in config; its check, enumeration, moment and sample counts are all
 fixed by the suites' sizes.
 """
@@ -26,21 +28,22 @@ BENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize(
-    "command, workload, experiment, particle_steps, seen",
+    "command, workload, experiment, particle_steps, seen, timed",
     [
         pytest.param(
             "verify-clt", "clt-small.json", {"m_list": [64], "replicates": 200},
-            64 * 4 * 200, ("variance_oracle.path_cells",), id="clt-small",
+            64 * 4 * 200, ("variance_oracle.path_cells",),
+            ("variance_oracle.recursion_s", "variance_oracle.sigma2_s"), id="clt-small",
         ),
         pytest.param(
             "verify-lln", "lln-long.json",
             {"m_list": [16, 32, 64, 256], "replicates": 4, "horizon": 10},
-            (16 + 32 + 64 + 256) * 10 * 4, (), id="lln-long",
+            (16 + 32 + 64 + 256) * 10 * 4, (), (), id="lln-long",
         ),
     ],
 )
 def test_traced_pass_counts_every_particle_step(
-    tmp_path, command, workload, experiment, particle_steps, seen
+    tmp_path, command, workload, experiment, particle_steps, seen, timed
 ):
     cfg = json.loads((BENCH / "workloads" / workload).read_text())
     cfg["experiment"].update(experiment)
@@ -52,6 +55,9 @@ def test_traced_pass_counts_every_particle_step(
     assert counts["state_space.particle_steps"] == particle_steps
     for name in ("state_space.trace_bytes", "state_space.path_bytes_copied") + seen:
         assert counts.get(name, 0) > 0, name
+    for name in timed:
+        value, unit = result["metrics"][name]
+        assert unit == "s" and value > 0, name
 
 
 def test_traced_pass_sees_the_resampling_suites(tmp_path):

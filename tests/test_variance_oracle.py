@@ -3,8 +3,8 @@
 The key oracles here are an independently coded brute-force evaluator of
 the one-step variance composition, written with bare loops over paths,
 and the path-space recursion of ``path_space_reference``, which keeps
-psi and gamma over all n^k paths; the windowed recursion must reproduce
-both.
+psi and gamma over all n^k paths; the recursion on the carried
+coordinates must reproduce both.
 """
 
 import math
@@ -28,7 +28,7 @@ from smclimits import (
 )
 from smclimits.cli import DEFAULT_OBS_SEED
 from smclimits.state_space import PROPOSAL_KINDS
-from smclimits.variance_oracle import MAX_ORACLE_CELLS, _mutation_totals, oracle_cells
+from smclimits.variance_oracle import MAX_ORACLE_CELLS, oracle_cells
 
 from path_space_reference import (
     DEFAULT_PATH_CAP,
@@ -36,7 +36,7 @@ from path_space_reference import (
     path_recursion_init,
     path_recursion_step,
     run_path_recursion,
-    window_marginal,
+    carried_marginal,
 )
 
 
@@ -58,6 +58,14 @@ def k2_model():
 ROUNDING_MODEL = DiscreteHMM([0.1, 0.9], [[0.05, 0.95], [0.3, 0.7]], [[1.0, 1.0]] * 4)
 
 
+# the built-in model over 1000 steps, 2^1000 paths
+BUILTIN_LONG = DiscreteHMM(
+    [0.5, 0.5],
+    [[0.9, 0.1], [0.2, 0.8]],
+    random_likelihood_table(1000, 2, obs_seed=DEFAULT_OBS_SEED),
+)
+
+
 def cv(kappa2):
     """The adaptive policy at threshold kappa2 (math.inf never fires)."""
     return ResamplingPolicy(trigger="cv", kappa2=kappa2)
@@ -66,7 +74,10 @@ def cv(kappa2):
 def unclamped_cv2_limit(state, kind):
     """gamma~(1) - 1 of the next mutation, before the recursion clamps it at 0."""
     kernel = step_kernel(state.model, state.k + 1, kind)
-    return _mutation_totals(state.steps[-1], kernel)[1] - 1.0
+    (q, d1), d2 = kernel.factors(1), kernel.factors(2)[1]
+    last = state.steps[-1]
+    normalizer = float(np.sum(last.psi @ q @ d1))
+    return float(np.sum(last.gamma @ q @ d2)) / normalizer**2 - 1.0
 
 
 def brute_force_sigma2_step2(model, kappa2, f_table):
@@ -151,7 +162,8 @@ class TestRecursionInvariants:
         state = run_recursion(bench_model, kind, cv(kappa2), horizon=5)
         for k in range(2, 6):
             law = exact_joint_smoothing(bench_model, k)
-            assert np.allclose(state.steps[k - 1].psi, window_marginal(law.probs), atol=1e-12)
+            psi = state.steps[k - 1].psi
+            assert np.allclose(psi, carried_marginal(law.probs, psi.size), atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
     def test_sigma2_nonnegative_and_kills_constants(self, bench_model, kind):
@@ -327,6 +339,13 @@ class TestBoundaryWarning:
             warnings.simplefilter("error")
             run_recursion(bench_model, "prior", cv(1.0), horizon=2)
 
+    def test_one_warning_per_recursion(self):
+        # the built-in model at H=1000 sits near the threshold at 151 steps
+        with pytest.warns(RuntimeWarning) as record:
+            run_recursion(BUILTIN_LONG, "prior", cv(1.0))
+        assert len(record) == 1
+        assert "at 151 step(s), the first at step 8" in str(record[0].message)
+
     @pytest.mark.parametrize("trigger", ["always", "never"])
     def test_fixed_triggers_are_silent_on_flat_steps(self, trigger):
         # no threshold to sit near: the warning belongs to the cv trigger
@@ -368,52 +387,53 @@ class TestCellBudget:
 
     @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
     def test_cell_count_matches_the_held_arrays(self, kind):
-        model = DiscreteHMM([0.2, 0.3, 0.5], np.full((3, 3), 1.0 / 3.0), np.ones((6, 3)))
+        # each step keeps psi, gamma and its n x n form; the working
+        # allowance, 8 n c + 4 n^2 for the last step's c carried cells, does
+        # not grow with the horizon
+        n = 3
+        model = DiscreteHMM([0.2, 0.3, 0.5], np.full((n, n), 1.0 / n), np.ones((6, n)))
         for horizon in range(1, 7):
             state = run_recursion(model, kind, cv(math.inf), horizon=horizon)
-            held = sum(s.psi.size + s.gamma.size for s in state.steps)
-            for s in state.steps[1:]:
-                moves = s.kernel.moves
-                held += s.kernel.prop.size + s.kernel.w.size + (0 if moves is None else moves.size)
-            working = 3 ** min(horizon, 4) if horizon >= 2 else 0
-            assert held + working == oracle_cells(3, horizon, kind)
+            stored = sum(s.psi.size + s.gamma.size + s.form.size for s in state.steps)
+            c = state.steps[-1].psi.size
+            assert stored + 8 * n * c + 4 * n * n == oracle_cells(n, horizon, kind)
 
     @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
     def test_peak_memory_within_the_count(self, kind):
-        # 24 states at horizon 5: the 24^4-cell working array dominates, and
-        # a second array of that size alive at once would exceed the count
-        n, horizon = 24, 5
-        rng = np.random.default_rng(3)
-        model = DiscreteHMM(
-            rng.dirichlet(np.ones(n)),
-            rng.dirichlet(np.ones(n), size=n),
-            rng.uniform(0.5, 2.0, size=(horizon, n)),
-        )
-        tracemalloc.start()
-        try:
-            run_recursion(model, kind, cv(math.inf))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * oracle_cells(n, horizon, kind) + 2**16
+        # the working arrays dominate: n^3-cell factors for the path move,
+        # n x n products for the other kinds
+        for n, horizon in [(24, 5), (40, 3)]:
+            rng = np.random.default_rng(3)
+            model = DiscreteHMM(
+                rng.dirichlet(np.ones(n)),
+                rng.dirichlet(np.ones(n), size=n),
+                rng.uniform(0.5, 2.0, size=(horizon, n)),
+            )
+            tracemalloc.start()
+            try:
+                run_recursion(model, kind, cv(math.inf))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * oracle_cells(n, horizon, kind) + 2**16
 
     def test_both_sides_of_the_budget(self):
-        assert oracle_cells(2, 1000, "prior") == 21_990
-        assert oracle_cells(2, 1000, "resample_move") == 29_974
-        for kind in PROPOSAL_KINDS:
-            assert oracle_cells(161, 4, kind) > MAX_ORACLE_CELLS  # 161^4 working cells
-            assert oracle_cells(200, 50, kind) > MAX_ORACLE_CELLS
-        assert oracle_cells(63, 4, "prior") <= MAX_ORACLE_CELLS < oracle_cells(64, 4, "prior")
-        assert oracle_cells(62, 4, "resample_move") <= MAX_ORACLE_CELLS
-        assert oracle_cells(63, 4, "resample_move") > MAX_ORACLE_CELLS
+        assert oracle_cells(2, 1000, "prior") == 8_048
+        assert oracle_cells(2, 1000, "resample_move") == 12_076
+        # the largest state counts admitted: horizon 4, then horizon 1000
+        for kind, largest in [("prior", (1023, 127)), ("optimal", (1023, 127)),
+                              ("resample_move", (127, 68))]:
+            for horizon, n in zip((4, 1000), largest):
+                assert oracle_cells(n, horizon, kind) <= MAX_ORACLE_CELLS
+                assert oracle_cells(n + 1, horizon, kind) > MAX_ORACLE_CELLS
 
     def test_budget_checked_before_the_first_step(self, monkeypatch):
-        # 161 states at horizon 4 would hold a 161^4-cell array, about 5.4 GB
-        n = 161
+        # 128 states under the path move: its n^3-cell factors exceed the budget
+        n = 128
         model = DiscreteHMM(np.full(n, 1.0 / n), np.full((n, n), 1.0 / n), np.ones((4, n)))
-        monkeypatch.setattr("smclimits.variance_oracle._next_step", None)
+        monkeypatch.setattr("smclimits.variance_oracle.step_kernel", None)
         with pytest.raises(ValueError, match=f"over its budget of {MAX_ORACLE_CELLS}"):
-            run_recursion(model, "prior", cv(1.0))
+            run_recursion(model, "resample_move", cv(1.0))
 
     def test_exactly_at_the_budget_runs(self, bench_model, monkeypatch):
         need = oracle_cells(2, 5, "prior")
@@ -429,7 +449,7 @@ def _close(a, b, tol=1e-13):
 
 
 class TestPathSpaceCrossCheck:
-    """The windowed recursion against the path-space one, wherever the paths fit."""
+    """The recursion on carried coordinates against the path-space one, wherever paths fit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -463,16 +483,10 @@ class TestPathSpaceCrossCheck:
                 assert _close(step.normalizer, ref_step.normalizer)
                 assert _close(step.cv2_limit, ref_step.cv2_limit)
             assert math.isclose(state.sigma2(f, k), ref.sigma2(f, k), rel_tol=1e-13)
-            assert np.allclose(step.psi, window_marginal(ref_step.psi), rtol=1e-13, atol=0.0)
-            expected = window_marginal(ref_step.gamma)
+            expected = carried_marginal(ref_step.psi, step.psi.size)
+            assert np.allclose(step.psi, expected, rtol=1e-13, atol=0.0)
+            expected = carried_marginal(ref_step.gamma, step.gamma.size)
             assert np.allclose(step.gamma, expected, rtol=1e-13, atol=0.0)
-
-
-BUILTIN_LONG = DiscreteHMM(
-    [0.5, 0.5],
-    [[0.9, 0.1], [0.2, 0.8]],
-    random_likelihood_table(1000, 2, obs_seed=DEFAULT_OBS_SEED),
-)
 
 
 class TestLongHorizon:
@@ -487,7 +501,7 @@ class TestLongHorizon:
     def test_stored_cells_grow_linearly(self):
         model = DiscreteHMM([0.2, 0.3, 0.5], np.full((3, 3), 1.0 / 3.0), np.ones((8, 3)))
         state = run_recursion(model, "resample_move", cv(1.0))
-        assert sum(s.psi.size for s in state.steps) <= 8 * 3**3
+        assert sum(s.psi.size for s in state.steps) == 3 + 7 * 3**2  # (x_{k-1}, x_k) from step 2
 
 
 class TestVarianceTable:

@@ -63,6 +63,17 @@ class TestDiagnostics:
     def test_ess_value(self):
         assert WeightedSample([3.0, 1.0]).ess() == pytest.approx(1.6, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "weights, ess",
+        [
+            ([1e-170, 1e-170], 2.0),  # the squares underflow to 0
+            ([5e-324, 1e-323], 1.8),  # subnormal weights, exact after scaling
+            ([1e300, 1e300], 2.0),  # the squares overflow
+        ],
+    )
+    def test_ess_outside_the_normal_range_of_squares(self, weights, ess):
+        assert WeightedSample(weights).ess() == ess
+
     def test_cv2_equal_weights_zero(self):
         for m in (2, 5, 9):
             assert WeightedSample(np.ones(m)).cv2() == 0.0
