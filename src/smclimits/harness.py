@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .resampling import ResamplingPolicy
+from .resampling import ResamplingPolicy, _residual_alloc
 from .state_space import (
     MAX_POPULATION,
     DiscreteHMM,
@@ -183,14 +183,17 @@ class ExperimentConfig:
             raise ValueError("at least one replicate is required")
         if not 1 <= self.horizon <= self.model.horizon:
             raise ValueError("horizon exceeds the model's observation record")
-        # a constant's estimation error is pure rounding noise, which no rate
-        # fit or variance ratio can judge; an affine f of a real state is
-        # constant when f(0) == f(1)
-        discrete = isinstance(self.model, DiscreteHMM)
-        states = np.arange(self.model.n_states) if discrete else np.array([0.0, 1.0])
+        # f constant where the filter law puts mass has sigma^2 = 0: its error is
+        # rounding noise, which no rate fit or variance ratio can judge; an
+        # affine f of a real state is constant when f(0) == f(1)
+        if isinstance(self.model, DiscreteHMM):
+            states = np.flatnonzero(filter_marginal(self.model, self.horizon))
+        else:
+            states = np.array([0.0, 1.0])
         for fn in self.functions:
             if np.ptp(fn.values_at(self.model, states)) == 0.0:
-                raise ValueError(f"function {fn.name!r} is constant on the state space")
+                raise ValueError(f"function {fn.name!r} is constant on the states the "
+                                 f"filter reaches at horizon {self.horizon}")
         if self.policy.trigger != "never" and self.policy.ratio != 1.0:
             # selection may fire at every step, scaling each population each
             # time: the smallest must keep one particle, the largest must fit
@@ -302,13 +305,10 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
 
-    def rows_at(self, m: int) -> list[dict]:
-        return [row for row in self.rows if row["m"] == m]
-
     def scaled_errors(self, m: int, function: str | None = None) -> np.ndarray:
         """The scaled errors of ``function`` (default: the first) at particle count m."""
         function = next(iter(self.truths)) if function is None else function
-        return np.array([row["scaled_errors"][function] for row in self.rows_at(m)])
+        return np.array([row["scaled_errors"][function] for row in self.rows if row["m"] == m])
 
     def csv_lines(self) -> list[str]:
         """One line per replicate, with the first function's estimate and scaled error."""
@@ -402,18 +402,13 @@ def lln_check(
     Requires at least four particle counts spanning a factor of 16 (four
     doublings).  Passes when the log2 RMSE / log2 M slope lies in ``band``
     and the median final-step maximum weight fraction strictly decreases
-    with the particle count.
+    with the particle count.  Both are read from ``report.aggregates``.
     """
-    counts = sorted({row["m"] for row in report.rows})
+    function = next(iter(report.truths)) if function is None else function
+    counts = [e["m"] for e in report.aggregates]
     require_lln_grid(counts)
-    rmse = {}
-    medians = {}
-    for m in counts:
-        errs = report.scaled_errors(m, function) / math.sqrt(m)
-        rmse[m] = float(np.sqrt(np.mean(errs**2)))
-        medians[m] = float(
-            np.median([row["final_max_weight_fraction"] for row in report.rows_at(m)])
-        )
+    rmse = {e["m"]: e[f"rmse[{function}]"] for e in report.aggregates}
+    medians = {e["m"]: e["median_final_max_weight_fraction"] for e in report.aggregates}
     slope = float(
         np.polyfit(np.log2(counts), np.log2([rmse[m] for m in counts]), 1)[0]
     )
@@ -437,7 +432,6 @@ class CltCheck:
     ks_stat: float
     ks_p: float
     passed: bool
-    n: int
 
 
 def require_clt_replicates(n: int) -> None:
@@ -456,26 +450,25 @@ def clt_check(
 ) -> CltCheck:
     """Compare scaled errors with the exact asymptotic variance.
 
-    The variance ratio must fall in ``ratio_band`` and the KS p-value of
-    the standardized errors must reach ``min_p``.  A zero-variance oracle
-    is only coherent when every scaled error vanishes (constant test
-    function); anything else is flagged as an error.
+    The variance ratio (the ``var_scaled_error`` aggregate at m over
+    ``sigma2_oracle``) must fall in ``ratio_band`` and the KS p-value of the
+    standardized errors must reach ``min_p``.  ``sigma2_oracle`` must be
+    positive: :class:`ExperimentConfig` refuses every function of variance 0.
     """
-    counts = sorted({row["m"] for row in report.rows})
+    function = next(iter(report.truths)) if function is None else function
     if m is None:
-        if len(counts) != 1:
+        if len(report.aggregates) != 1:
             raise ValueError("specify the particle count when several were run")
-        m = counts[0]
+        m = report.aggregates[0]["m"]
     errors = report.scaled_errors(m, function)
     require_clt_replicates(errors.size)
-    if sigma2_oracle == 0.0:
-        if np.all(errors == 0.0):
-            return CltCheck(var_ratio=1.0, ks_stat=0.0, ks_p=1.0, passed=True, n=errors.size)
-        raise ValueError("zero-variance oracle with nonzero errors")
-    var_ratio = float(np.var(errors, ddof=1)) / sigma2_oracle
+    if not sigma2_oracle > 0.0:
+        raise ValueError("the CLT check needs a positive oracle variance")
+    entry = next(e for e in report.aggregates if e["m"] == m)
+    var_ratio = entry[f"var_scaled_error[{function}]"] / sigma2_oracle
     stat, p = ks_test(errors / math.sqrt(sigma2_oracle))
     passed = ratio_band[0] <= var_ratio <= ratio_band[1] and p >= min_p
-    return CltCheck(var_ratio=var_ratio, ks_stat=stat, ks_p=p, passed=passed, n=errors.size)
+    return CltCheck(var_ratio=var_ratio, ks_stat=stat, ks_p=p, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +488,11 @@ def counterexample_run(m: int, replicates: int, seed: int) -> CounterexampleResu
     Each replicate draws m i.i.d. points taking value 1/2 with probability
     2/3 and value 2 with probability 1/3, weights each point by its own
     value, and evaluates the deterministically copied average
-    (1/m) sum_i floor(m w_i / W) f(x_i) with f the identity.  The atoms of
-    the point drawn at 2 sit on either side of an integer expected copy
-    count, so the statistic converges in law to a two-point distribution
-    on {2/3, 4/3} instead of converging in probability.
+    (1/m) sum_i floor(m w_i / W) f(x_i) with f the identity, the floors
+    being residual resampling's own allocation.  The atoms of the point
+    drawn at 2 sit on either side of an integer expected copy count, so the
+    statistic converges in law to a two-point distribution on {2/3, 4/3}
+    instead of converging in probability.
     """
     values = np.empty(replicates)
     mean_weights = np.empty(replicates)
@@ -506,7 +500,7 @@ def counterexample_run(m: int, replicates: int, seed: int) -> CounterexampleResu
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         draws = np.where(rng.random(m) < 2.0 / 3.0, 0.5, 2.0)
         total = float(np.sum(draws))
-        floors = np.floor(m * draws / total)
+        floors = _residual_alloc(draws, total, m).floors
         values[r] = float(np.dot(floors, draws)) / m
         mean_weights[r] = total / m
     return CounterexampleResult(values=values, mean_weights=mean_weights)

@@ -271,17 +271,16 @@ class StepKernel:
             return None
         target = self._move_target
         n = target.shape[0]
-        mats = np.empty((n, n, n))
-        for e, t in enumerate(target):
-            accept = np.ones((n, n))
-            pos = t > 0.0
-            # rows with t[c] > 0 accept with min(1, t[m]/t[c]); rows at a
-            # null point of the target accept everything
-            accept[pos, :] = np.minimum(1.0, t[None, :] / t[pos, None])
-            p = accept / n
-            np.fill_diagonal(p, 0.0)
-            np.fill_diagonal(p, 1.0 - p.sum(axis=1))
-            mats[e] = p
+        pos = target > 0.0
+        # rows with t_e[c] > 0 accept with min(1, t_e[m]/t_e[c]); rows at a
+        # null point of the target accept everything
+        mats = target[:, None, :] / np.where(pos, target, 1.0)[:, :, None]
+        np.minimum(mats, 1.0, out=mats)
+        mats[~pos] = 1.0
+        mats /= n
+        diagonal = (slice(None), np.arange(n), np.arange(n))
+        mats[diagonal] = 0.0
+        mats[diagonal] = 1.0 - mats.sum(axis=2)
         return mats
 
     def _lgssm_log_weight(self, last, new):

@@ -89,11 +89,13 @@ def oracle_cells(n_states: int, horizon: int, proposal_kind: str) -> int:
 
     Each step keeps psi and gamma, c cells each (c = n, or n^2 for
     ``resample_move`` after step 1), and its n x n form.  The two kernels'
-    factors and the products of a step take at most 8 n c + 4 n^2 more.
+    factors and the products of a step take at most 8 n c + 4 n^2 more, or
+    3 n^2 when step 1 is the last: it only restricts the identity.
     """
     n = n_states
     c = n * n if proposal_kind == RESAMPLE_MOVE and horizon >= 2 else n
-    return 2 * n + n * n + (horizon - 1) * (2 * c + n * n) + 8 * n * c + 4 * n * n
+    working = 8 * n * c + 4 * n * n if horizon >= 2 else 3 * n * n
+    return 2 * n + n * n + (horizon - 1) * (2 * c + n * n) + working
 
 
 def _gram(a: np.ndarray, weights: np.ndarray) -> np.ndarray:

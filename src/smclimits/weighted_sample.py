@@ -95,9 +95,9 @@ def estimate_of_weights(weights: np.ndarray, f_values) -> float | np.ndarray:
 class WeightedSample:
     """An immutable weighted sample, held as its weights in linear scale.
 
-    Raises ``ValueError`` on weights that are not 1-d, empty, negative or
-    non-finite, and on an all-zero vector ("degenerate weights": zero total
-    mass has no normalized form and is a hard error, never silently reset).
+    Raises ``ValueError`` on weights that are empty, not 1-d, negative,
+    non-finite or all zero, or whose total overflows (zero total mass has no
+    normalized form and is a hard error, never silently reset).
     """
 
     weights: np.ndarray
@@ -114,9 +114,12 @@ class WeightedSample:
             raise ValueError("weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        total = weight_total(w)
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            total = weight_total(w)
         if total <= 0.0:
             raise ValueError("degenerate weights: total weight is zero")
+        if total == math.inf:
+            raise ValueError("weights overflow: their total is not finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "total", total)

@@ -184,6 +184,23 @@ _BIG_MODEL = {
 }
 
 
+# The filter starts in state 0 and never leaves it: every function is
+# constant on the states it reaches, so no verdict can judge one.
+_STUCK = {
+    "model": {"obs_seed": 3, "parameters": {"initial": [1.0, 0.0],
+                                            "transition": [[1.0, 0.0], [0.0, 1.0]]}},
+    "policy": {"trigger": "cv", "kappa2": 1.0},
+}
+
+
+def _stuck(fn: dict, **experiment) -> dict:
+    return {**_STUCK, "experiment": {"horizon": 4, "functions": [fn], **experiment}}
+
+
+_STUCK_CLT = {"m_list": [1000], "replicates": 200}
+_STUCK_LLN = {"m_list": [64, 128, 256, 512, 1024], "replicates": 5}
+
+
 class TestRejectedUpFront:
     """Configs the run cannot answer correctly exit 2 before any work or output."""
 
@@ -296,6 +313,24 @@ class TestRejectedUpFront:
                     "functions": [{"kind": "affine", "a": 0.0, "b": 1.0}]}},
                 "constant",
                 id="lln-constant-on-lgssm",
+            ),
+            pytest.param(
+                "verify-clt", _stuck({"kind": "table", "values": [0.3, 0.7]}, **_STUCK_CLT),
+                "constant on the states the filter reaches at horizon 4", id="clt-stuck-table",
+            ),
+            pytest.param(
+                "verify-clt", _stuck({"kind": "indicator", "state": 0}, **_STUCK_CLT),
+                "constant on the states the filter reaches at horizon 4",
+                id="clt-stuck-indicator",
+            ),
+            pytest.param(
+                "verify-lln", _stuck({"kind": "indicator", "state": 0}, **_STUCK_LLN),
+                "constant on the states the filter reaches at horizon 4",
+                id="lln-stuck-indicator",
+            ),
+            pytest.param(
+                "verify-lln", _stuck({"kind": "table", "values": [0.1, 0.7]}, **_STUCK_LLN),
+                "constant on the states the filter reaches at horizon 4", id="lln-stuck-table",
             ),
             pytest.param("verify-lln", {"model": {"obs_seed": "x"}}, "integer", id="obs-seed"),
             pytest.param("verify-lln", {"model": {"obs_low": "low"}}, "number", id="obs-low"),

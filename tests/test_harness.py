@@ -1,5 +1,6 @@
 """Tests for the replication harness, KS machinery, and the counterexample."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -298,6 +299,50 @@ class TestRunReplicates:
             )
 
 
+class TestJudgeableFunctions:
+    """A function is accepted exactly when its asymptotic variance is positive."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's near-threshold note
+    def test_accepted_exactly_when_sigma2_is_positive(self):
+        # sparse models leave states the filter cannot reach; 0/1 tables are
+        # often constant on the states it can
+        rng = np.random.default_rng(2105)
+        policies = (ResamplingPolicy(trigger="always"), ResamplingPolicy(trigger="never"),
+                    ResamplingPolicy(trigger="cv", kappa2=0.5))
+        outcomes = []
+        for _ in range(120):
+            n, horizon = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+            initial = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+            initial[rng.integers(n)] += 0.5
+            transition = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.5)
+            transition[np.arange(n), rng.integers(0, n, size=n)] += 0.5
+            model = DiscreteHMM(
+                initial / initial.sum(),
+                transition / transition.sum(axis=1, keepdims=True),
+                rng.uniform(0.3, 3.0, size=(horizon, n)),
+            )
+            states = [run_recursion(model, kind, policy)
+                      for kind in ("prior", "optimal", "resample_move") for policy in policies]
+            for _ in range(3):
+                fn = TerminalFunction(name="f", kind="table",
+                                      values=tuple(rng.integers(0, 2, size=n).tolist()))
+                try:
+                    ExperimentConfig(model=model, proposal_kind="prior", policy=policies[0],
+                                     horizon=horizon, functions=(fn,), particle_counts=(64,),
+                                     replicates=2, seed=0)
+                    accepted = True
+                except ValueError as exc:
+                    assert f"reaches at horizon {horizon}" in str(exc)
+                    accepted = False
+                sigma2 = [state.sigma2(fn.table_for(model)) for state in states]
+                if accepted:
+                    assert min(sigma2) > 1e-12
+                else:
+                    assert max(abs(s) for s in sigma2) <= 1e-12
+                outcomes.append(accepted)
+        assert 0.2 < np.mean(outcomes) < 0.8
+
+
 # Two affine functions on the linear-Gaussian model, the second with its
 # slope given as a JSON integer; neither workload's a = 1, b = 0 pins them.
 _AFFINE_CONFIG = """{
@@ -358,6 +403,10 @@ class TestLlnCheck:
         report = run_replicates(config)
         for row in report.rows:
             row["scaled_errors"]["ind0"] = math.sqrt(row["m"]) * 0.25
+        # the check reads the aggregates, so they are rebuilt from the edited rows
+        report = dataclasses.replace(
+            report, aggregates=aggregate_rows(report.rows, config.functions)
+        )
         check = lln_check(report)
         assert not check.slope_in_band
         assert not check.passed
@@ -397,9 +446,21 @@ class TestCltCheck:
             clt_check(report, 1.0, m=32)
 
     def test_zero_variance_paths(self, clt_report_and_sigma):
+        # a function with sigma^2 = 0 never reaches the check: the config refuses it
         report, _ = clt_report_and_sigma
-        with pytest.raises(ValueError, match="zero-variance"):
-            clt_check(report, 0.0)
+        for sigma2 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive oracle variance"):
+                clt_check(report, sigma2)
+
+    def test_reads_the_aggregate_variance(self, clt_report_and_sigma):
+        report, sigma2 = clt_report_and_sigma
+        errors = report.scaled_errors(1024)
+        expected = float(np.var(errors, ddof=1)) / sigma2
+        assert clt_check(report, sigma2).var_ratio == expected
+        edited = dataclasses.replace(
+            report, aggregates=[dict(report.aggregates[0], **{"var_scaled_error[ind0]": sigma2})]
+        )
+        assert clt_check(edited, sigma2).var_ratio == 1.0
 
 
 class TestCounterexample:
@@ -432,6 +493,19 @@ class TestCounterexample:
             best = max(best, j - i)
         stats = summarize_counterexample(np.array(values[::-1]))
         assert stats["max_window_mass"] == best / ordered.size
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 99, 150, 199, 1000, 100_000])
+    def test_floors_are_the_old_formula(self, m):
+        # the copies come from the residual allocation; the reference is
+        # the floor formula the command computed on its own before
+        replicates, seed = 30, 17
+        expected = np.empty(replicates)
+        for r in range(replicates):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+            draws = np.where(rng.random(m) < 2.0 / 3.0, 0.5, 2.0)
+            total = float(np.sum(draws))
+            expected[r] = float(np.dot(np.floor(m * draws / total), draws)) / m
+        np.testing.assert_array_equal(counterexample_run(m, replicates, seed).values, expected)
 
     def test_deterministic(self):
         a = counterexample_run(5_000, 20, 3)

@@ -145,6 +145,23 @@ class TestResampleMoveProposal:
             target = target / target.sum()
             assert np.allclose(target @ mats[e], target, atol=1e-12)
 
+    def test_moves_match_the_per_state_loop(self):
+        # the broadcast build against one matrix per conditioning state e,
+        # on sparse models whose targets have null points
+        for seed in range(300):
+            n = 2 + seed % 28
+            kernel = step_kernel(_random_hmm(seed, n), 3, "resample_move")
+            reference = np.empty((n, n, n))
+            for e, t in enumerate(kernel._move_target):
+                accept = np.ones((n, n))
+                pos = t > 0.0
+                accept[pos, :] = np.minimum(1.0, t[None, :] / t[pos, None])
+                p = accept / n
+                np.fill_diagonal(p, 0.0)
+                np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+                reference[e] = p
+            np.testing.assert_array_equal(kernel.moves, reference)
+
     def test_short_path_degenerates_with_flag(self, small_model):
         # at step 2 there is no coordinate before the parent's to condition
         # the move on: the kernel makes no move and extends as the prior does

@@ -389,20 +389,21 @@ class TestCellBudget:
     def test_cell_count_matches_the_held_arrays(self, kind):
         # each step keeps psi, gamma and its n x n form; the working
         # allowance, 8 n c + 4 n^2 for the last step's c carried cells, does
-        # not grow with the horizon
+        # not grow with the horizon.  Step 1 alone works on three n x n arrays.
         n = 3
         model = DiscreteHMM([0.2, 0.3, 0.5], np.full((n, n), 1.0 / n), np.ones((6, n)))
         for horizon in range(1, 7):
             state = run_recursion(model, kind, cv(math.inf), horizon=horizon)
             stored = sum(s.psi.size + s.gamma.size + s.form.size for s in state.steps)
             c = state.steps[-1].psi.size
-            assert stored + 8 * n * c + 4 * n * n == oracle_cells(n, horizon, kind)
+            working = 8 * n * c + 4 * n * n if horizon > 1 else 3 * n * n
+            assert stored + working == oracle_cells(n, horizon, kind)
 
     @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
     def test_peak_memory_within_the_count(self, kind):
         # the working arrays dominate: n^3-cell factors for the path move,
-        # n x n products for the other kinds
-        for n, horizon in [(24, 5), (40, 3)]:
+        # n x n products for the other kinds; at horizon 1, 1,500 states fit
+        for n, horizon in [(24, 5), (40, 3), (1500, 1)]:
             rng = np.random.default_rng(3)
             model = DiscreteHMM(
                 rng.dirichlet(np.ones(n)),
@@ -420,10 +421,11 @@ class TestCellBudget:
     def test_both_sides_of_the_budget(self):
         assert oracle_cells(2, 1000, "prior") == 8_048
         assert oracle_cells(2, 1000, "resample_move") == 12_076
-        # the largest state counts admitted: horizon 4, then horizon 1000
-        for kind, largest in [("prior", (1023, 127)), ("optimal", (1023, 127)),
-                              ("resample_move", (127, 68))]:
-            for horizon, n in zip((4, 1000), largest):
+        assert oracle_cells(1500, 1, "prior") == 9_003_000
+        # the largest state counts admitted: horizon 1, 4, then 1000
+        for kind, largest in [("prior", (2047, 1023, 127)), ("optimal", (2047, 1023, 127)),
+                              ("resample_move", (2047, 127, 68))]:
+            for horizon, n in zip((1, 4, 1000), largest):
                 assert oracle_cells(n, horizon, kind) <= MAX_ORACLE_CELLS
                 assert oracle_cells(n + 1, horizon, kind) > MAX_ORACLE_CELLS
 

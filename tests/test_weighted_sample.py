@@ -147,6 +147,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             WeightedSample([1.0, float("nan")])
 
+    def test_overflowing_total_rejected(self):
+        # each weight is finite, their sum is not; no numpy overflow warning either
+        with pytest.raises(ValueError, match="weights overflow"):
+            WeightedSample([1e308, 1e308])
+        assert WeightedSample([1e308, 7e307]).total == 1.7e308
+
     def test_not_one_dimensional_rejected(self):
         with pytest.raises(ValueError, match="weights must be 1-d"):
             WeightedSample([[1.0, 1.0]])
