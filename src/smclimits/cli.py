@@ -37,6 +37,7 @@ from .harness import (
     counterexample_run,
     lln_check,
     require_clt_replicates,
+    require_lln_functions,
     require_lln_grid,
     run_replicates,
     summarize_counterexample,
@@ -351,6 +352,7 @@ def cmd_verify_resampling(args, experiment: ExperimentConfig) -> Outcome:
 
 
 def cmd_verify_lln(args, experiment: ExperimentConfig) -> Outcome:
+    _require("experiment.functions", require_lln_functions, len(experiment.functions))
     _require("experiment.m_list", require_lln_grid, experiment.particle_counts)
     report = run_replicates(experiment, workers=args.workers)
     check = lln_check(report)
@@ -370,30 +372,19 @@ def cmd_verify_clt(args, experiment: ExperimentConfig) -> Outcome:
     _require("experiment.replicates", require_clt_replicates, experiment.replicates)
     state = _oracle(experiment)
     report = run_replicates(experiment, workers=args.workers)
-    results = []
+    checks = []
     for fn in experiment.functions:
         sigma2 = state.sigma2(fn.table_for(experiment.model))
         for m in experiment.particle_counts:
-            check = clt_check(report, sigma2, m=m, function=fn.name)
-            results.append(
-                {
-                    "function": fn.name,
-                    "m": m,
-                    "sigma2_oracle": sigma2,
-                    "var_ratio": check.var_ratio,
-                    "ks_stat": check.ks_stat,
-                    "ks_p": check.ks_p,
-                    "passed": check.passed,
-                }
-            )
+            checks.append(clt_check(report, sigma2, m=m, function=fn.name))
     summary = report.to_json_dict()
-    summary["clt"] = results
+    summary["clt"] = [asdict(check) for check in checks]
     stdout = [
-        f"{_verdict(r['passed'])} clt {r['function']} m={r['m']} "
-        f"var_ratio={r['var_ratio']:.3f} ks_p={r['ks_p']:.3f}"
-        for r in results
+        f"{_verdict(c.passed)} clt {c.function} m={c.m} "
+        f"var_ratio={c.var_ratio:.3f} ks_p={c.ks_p:.3f}"
+        for c in checks
     ]
-    passed = all(r["passed"] for r in results)
+    passed = all(c.passed for c in checks)
     return Outcome("clt_summary.json", summary, stdout, passed, "clt_rows.csv", report.csv_lines())
 
 

@@ -54,11 +54,11 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def kolmogorov_sf(t: float, min_terms: int = 10) -> float:
+def kolmogorov_sf(t: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
     The alternating series 2 sum_j (-1)^(j-1) exp(-2 j^2 t^2), summed until
-    the terms fall below double precision (at least ``min_terms`` of them).
+    the terms fall below double precision (at least 10 of them).
     Below t = 0.2 the value is 1 to double precision (the left tail decays
     like exp(-pi^2 / (8 t^2))) and the series is not usable, so 1 is
     returned directly.
@@ -69,7 +69,7 @@ def kolmogorov_sf(t: float, min_terms: int = 10) -> float:
     for j in range(1, 100001):
         term = math.exp(-2.0 * j * j * t * t)
         total += term if j % 2 == 1 else -term
-        if j >= min_terms and term < 1e-16:
+        if j >= 10 and term < 1e-16:
             break
     return min(1.0, max(0.0, 2.0 * total))
 
@@ -151,15 +151,6 @@ class TerminalFunction:
         return d
 
 
-def policy_to_dict(policy: ResamplingPolicy) -> dict:
-    return {
-        "scheme": policy.scheme,
-        "trigger": policy.trigger,
-        "kappa2": "inf" if math.isinf(policy.kappa2) else policy.kappa2,
-        "ell": policy.ratio,
-    }
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a replication experiment depends on."""
@@ -194,7 +185,7 @@ class ExperimentConfig:
             if np.ptp(fn.values_at(self.model, states)) == 0.0:
                 raise ValueError(f"function {fn.name!r} is constant on the states the "
                                  f"filter reaches at horizon {self.horizon}")
-        if self.policy.trigger != "never" and self.policy.ratio != 1.0:
+        if self.policy.can_fire and self.policy.ratio != 1.0:
             # selection may fire at every step, scaling each population each
             # time: the smallest must keep one particle, the largest must fit
             low, high = counts[0], counts[-1]
@@ -208,10 +199,16 @@ class ExperimentConfig:
                 low, high = self.policy.output_size(low), self.policy.output_size(high)
 
     def to_dict(self) -> dict:
+        policy = self.policy
         return {
             "model": self.model.to_dict(),
             "proposal": self.proposal_kind,
-            "policy": policy_to_dict(self.policy),
+            "policy": {
+                "scheme": policy.scheme,
+                "trigger": policy.trigger,
+                "kappa2": "inf" if math.isinf(policy.kappa2) else policy.kappa2,
+                "ell": policy.ratio,
+            },
             "experiment": {
                 "horizon": self.horizon,
                 "functions": [f.to_dict() for f in self.functions],
@@ -374,6 +371,12 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 # Checks
 # ---------------------------------------------------------------------------
 
+# The contractual verdict levels: the LLN slope band, and the CLT variance
+# ratio band and KS level.
+LLN_SLOPE_BAND = (-0.6, -0.4)
+CLT_RATIO_BAND = (0.8, 1.25)
+CLT_MIN_P = 0.01
+
 
 @dataclass(frozen=True)
 class LlnCheck:
@@ -392,19 +395,23 @@ def require_lln_grid(counts: Sequence[int]) -> None:
         raise ValueError("the rate fit needs >= 4 particle counts spanning a factor of 16")
 
 
-def lln_check(
-    report: ExperimentReport,
-    function: str | None = None,
-    band: tuple[float, float] = (-0.6, -0.4),
-) -> LlnCheck:
+def require_lln_functions(n: int) -> None:
+    """Raise unless there is exactly one test function for :func:`lln_check` to judge."""
+    if n != 1:
+        raise ValueError(f"the rate fit judges one function, and {n} were given")
+
+
+def lln_check(report: ExperimentReport) -> LlnCheck:
     """Fit the error-decay rate and check the smallness diagnostic.
 
-    Requires at least four particle counts spanning a factor of 16 (four
-    doublings).  Passes when the log2 RMSE / log2 M slope lies in ``band``
-    and the median final-step maximum weight fraction strictly decreases
-    with the particle count.  Both are read from ``report.aggregates``.
+    Requires the report's one test function, and at least four particle
+    counts spanning a factor of 16 (four doublings).  Passes when the log2
+    RMSE / log2 M slope lies in :data:`LLN_SLOPE_BAND` and the median
+    final-step maximum weight fraction strictly decreases with the
+    particle count.  Both are read from ``report.aggregates``.
     """
-    function = next(iter(report.truths)) if function is None else function
+    require_lln_functions(len(report.truths))
+    (function,) = report.truths
     counts = [e["m"] for e in report.aggregates]
     require_lln_grid(counts)
     rmse = {e["m"]: e[f"rmse[{function}]"] for e in report.aggregates}
@@ -412,7 +419,7 @@ def lln_check(
     slope = float(
         np.polyfit(np.log2(counts), np.log2([rmse[m] for m in counts]), 1)[0]
     )
-    in_band = band[0] <= slope <= band[1]
+    in_band = LLN_SLOPE_BAND[0] <= slope <= LLN_SLOPE_BAND[1]
     decreasing = all(
         medians[a] > medians[b] for a, b in zip(counts, counts[1:])
     )
@@ -428,6 +435,9 @@ def lln_check(
 
 @dataclass(frozen=True)
 class CltCheck:
+    function: str
+    m: int
+    sigma2_oracle: float
     var_ratio: float
     ks_stat: float
     ks_p: float
@@ -445,15 +455,14 @@ def clt_check(
     sigma2_oracle: float,
     m: int | None = None,
     function: str | None = None,
-    ratio_band: tuple[float, float] = (0.8, 1.25),
-    min_p: float = 0.01,
 ) -> CltCheck:
     """Compare scaled errors with the exact asymptotic variance.
 
     The variance ratio (the ``var_scaled_error`` aggregate at m over
-    ``sigma2_oracle``) must fall in ``ratio_band`` and the KS p-value of the
-    standardized errors must reach ``min_p``.  ``sigma2_oracle`` must be
-    positive: :class:`ExperimentConfig` refuses every function of variance 0.
+    ``sigma2_oracle``) must fall in :data:`CLT_RATIO_BAND` and the KS
+    p-value of the standardized errors must reach :data:`CLT_MIN_P`.
+    ``sigma2_oracle`` must be positive: :class:`ExperimentConfig` refuses
+    every function of variance 0.
     """
     function = next(iter(report.truths)) if function is None else function
     if m is None:
@@ -467,8 +476,11 @@ def clt_check(
     entry = next(e for e in report.aggregates if e["m"] == m)
     var_ratio = entry[f"var_scaled_error[{function}]"] / sigma2_oracle
     stat, p = ks_test(errors / math.sqrt(sigma2_oracle))
-    passed = ratio_band[0] <= var_ratio <= ratio_band[1] and p >= min_p
-    return CltCheck(var_ratio=var_ratio, ks_stat=stat, ks_p=p, passed=passed)
+    passed = CLT_RATIO_BAND[0] <= var_ratio <= CLT_RATIO_BAND[1] and p >= CLT_MIN_P
+    return CltCheck(
+        function=function, m=m, sigma2_oracle=sigma2_oracle,
+        var_ratio=var_ratio, ks_stat=stat, ks_p=p, passed=passed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +518,15 @@ def counterexample_run(m: int, replicates: int, seed: int) -> CounterexampleResu
     return CounterexampleResult(values=values, mean_weights=mean_weights)
 
 
-def summarize_counterexample(values: np.ndarray, half_width: float = 0.05) -> dict:
-    """Mass near the two limit atoms and the tightest width-0.1 window."""
+def summarize_counterexample(values: np.ndarray) -> dict:
+    """Mass within 0.05 of each limit atom, and the most mass in any width-0.1 window."""
     values = np.sort(np.asarray(values, dtype=float))
     n = values.size
-    low = float(np.mean(np.abs(values - 2.0 / 3.0) <= half_width))
-    high = float(np.mean(np.abs(values - 4.0 / 3.0) <= half_width))
+    low = float(np.mean(np.abs(values - 2.0 / 3.0) <= 0.05))
+    high = float(np.mean(np.abs(values - 4.0 / 3.0) <= 0.05))
     # the window [v, v + width] starting at each sorted value holds the
     # values up to its right edge's insertion point
-    ends = np.searchsorted(values, values + 2.0 * half_width, side="right")
+    ends = np.searchsorted(values, values + 0.1, side="right")
     best = int(np.max(ends - np.arange(n)))
     return {
         "n": int(n),

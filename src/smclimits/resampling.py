@@ -63,6 +63,12 @@ class ResamplingPolicy:
         if not self.ratio > 0.0:
             raise ValueError("the output-size ratio must be positive")
 
+    @property
+    def can_fire(self) -> bool:
+        """Whether selection can fire at all: never under "never", nor under
+        "cv" with an infinite threshold, which no finite cv2 reaches."""
+        return self.trigger == "always" or (self.trigger == "cv" and math.isfinite(self.kappa2))
+
     def should_fire(self, cv2: float) -> bool:
         if self.trigger == "always":
             return True
@@ -279,10 +285,8 @@ def point_values(dist: DiscreteDistribution, ell: float, phi_values) -> np.ndarr
     return ell * inv_phi * phi
 
 
-def residual_regularity_check(
-    dist: DiscreteDistribution, ell: float, phi_values, tol: float = 1e-9
-) -> bool:
-    """True when no atom's limiting copy count is an integer (or infinite).
+def residual_regularity_check(dist: DiscreteDistribution, ell: float, phi_values) -> bool:
+    """True when no atom's limiting copy count is within 1e-9 of an integer (or infinite).
 
     The residual scheme's limit variance is only defined under this
     condition; an integer-mass atom makes the deterministically copied
@@ -294,7 +298,7 @@ def residual_regularity_check(
     for x, p in zip(xs, dist.probabilities):
         if p == 0.0:
             continue
-        if math.isinf(x) or abs(x - round(x)) <= tol:
+        if math.isinf(x) or abs(x - round(x)) <= 1e-9:
             return False
     return True
 

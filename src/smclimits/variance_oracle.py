@@ -32,7 +32,6 @@ a variance is a lookup and the recursion is linear in the horizon.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -151,12 +150,12 @@ def run_recursion(
         raise ValueError(f"unknown proposal kind {proposal_kind!r}")
     if not isinstance(model, DiscreteHMM):
         raise ValueError("the exact variance recursion needs a discrete model")
-    if policy.trigger != "never" and policy.scheme != MULTINOMIAL:
+    if policy.can_fire and policy.scheme != MULTINOMIAL:
         raise ValueError(
             "the exact variance recursion covers multinomial selection only; "
             "use scheme 'multinomial' (or trigger 'never') here"
         )
-    if policy.trigger != "never" and policy.ratio != 1.0:
+    if policy.can_fire and policy.ratio != 1.0:
         raise ValueError(
             "the exact variance recursion assumes an output size equal to the "
             "input size; use ell 1 (or trigger 'never') here"
@@ -188,7 +187,7 @@ def run_recursion(
         gamma_total = float(np.sum(gamma2)) / normalizer**2
         cv2_limit = max(gamma_total - 1.0, 0.0)
         epsilon = int(policy.should_fire(cv2_limit))
-        if policy.trigger == "cv" and math.isfinite(policy.kappa2):
+        if policy.trigger == "cv" and policy.can_fire:
             proximity = abs(gamma_total - (1.0 + policy.kappa2)) / (1.0 + policy.kappa2)
             if proximity < BOUNDARY_MARGIN:
                 near.append((k, proximity))

@@ -17,7 +17,6 @@ codes; the acceptance tests call them directly.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +61,9 @@ ADVERSARIAL_WEIGHTS: tuple[tuple[float, ...], ...] = (
 # Particle values giving a nonconstant "coordinate" test function.
 _PARTICLE_VALUES = (0.3, -1.2, 2.0, 0.7)
 
+# The contractual largest discrepancy of the unbiasedness suite.
+UNBIASEDNESS_TOLERANCE = 1e-12
+
 
 def _random_weight_vectors(seed: int, n_cases: int, max_m: int) -> list[np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -83,22 +85,17 @@ def _test_functions(m: int) -> np.ndarray:
     return np.vstack([np.eye(m), _PARTICLE_VALUES[:m]])
 
 
-def unbiasedness_suite(
-    seed: int = 0,
-    n_random: int = 200,
-    max_m: int = 4,
-    max_m_out: int = 4,
-    tolerance: float = 1e-12,
-) -> dict:
+def unbiasedness_suite(seed: int = 0) -> dict:
     """Enumerate both schemes on small systems; compare with the estimate.
 
-    For every weight vector, output size and test function, the exact
+    For every weight vector (the adversarial ones and 200 random ones, all
+    of at most 4 points), output size 1 to 4 and test function, the exact
     enumerated conditional mean must match the input weighted estimate and
     the closed-form mean, and the enumerated conditional variance must
-    match the closed form, all within ``tolerance``.
+    match the closed form, all within :data:`UNBIASEDNESS_TOLERANCE`.
     """
-    vectors = [np.array(w) for w in ADVERSARIAL_WEIGHTS if len(w) <= max_m]
-    vectors += _random_weight_vectors(seed, n_random, max_m)
+    vectors = [np.array(w) for w in ADVERSARIAL_WEIGHTS]
+    vectors += _random_weight_vectors(seed, n_cases=200, max_m=4)
     worst = 0.0
     n_checks = 0
     failures = []
@@ -107,7 +104,7 @@ def unbiasedness_suite(
         sample = WeightedSample(w)
         f_tables = _test_functions(m)
         estimates = sample.estimate(f_tables).tolist()
-        for m_out in range(1, max_m_out + 1):
+        for m_out in range(1, 5):
             for scheme in (MULTINOMIAL, RESIDUAL):
                 # one call per weight vector, output size and scheme serves every function
                 means_enum, vars_enum = enumerated_moments(scheme, sample, f_tables, m_out)
@@ -126,7 +123,7 @@ def unbiasedness_suite(
                     )
                     worst = max(worst, *errs)
                     n_checks += 1
-                    if max(errs) > tolerance:
+                    if max(errs) > UNBIASEDNESS_TOLERANCE:
                         failures.append(
                             {"weights": w.tolist(), "m_out": m_out, "scheme": scheme,
                              "function": fi, "errors": [float(e) for e in errs]}
@@ -136,24 +133,24 @@ def unbiasedness_suite(
         "passed": not failures,
         "n_checks": n_checks,
         "max_abs_error": worst,
-        "tolerance": tolerance,
+        "tolerance": UNBIASEDNESS_TOLERANCE,
         "failures": failures[:10],
     }
 
 
-def variance_ordering_suite(
-    seed: int = 1, n_cases: int = 100, max_m: int = 6, slack: float = 1e-12
-) -> dict:
-    """Residual conditional variance <= multinomial, closed forms."""
+def variance_ordering_suite(seed: int = 1) -> dict:
+    """Residual conditional variance <= multinomial, closed forms, on 100
+    random systems of 2 to 6 points and output sizes 1 to 6."""
+    n_cases, slack = 100, 1e-12
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst_gap = -math.inf
     failures = 0
     for _ in range(n_cases):
-        m = int(rng.integers(2, max_m + 1))
+        m = int(rng.integers(2, 7))
         w = np.exp(rng.uniform(-3.0, 3.0, size=m))
         values = rng.normal(size=m)
         sample = WeightedSample(w)
-        m_out = int(rng.integers(1, max_m + 1))
+        m_out = int(rng.integers(1, 7))
         gap = conditional_variance(RESIDUAL, sample, values, m_out) - conditional_variance(
             MULTINOMIAL, sample, values, m_out
         )
@@ -169,34 +166,21 @@ def variance_ordering_suite(
     }
 
 
-# Default three-atom target for the limit-weight validation: every atom's
-# limiting copy count stays well clear of the integers for ratios 1/2, 1
-# and 2, and stays small, so the fractional parts are insensitive to the
-# finite-sample fluctuation of the weight total.
-LIMIT_WEIGHT_ATOMS: tuple[tuple[float, float], ...] = (
-    (0.8, 0.2),
-    (0.9, 0.3),
-    (1.5, 0.5),
-)
-
-
-def limit_weight_suite(
-    seed: int = 2,
-    m: int = 100_000,
-    ratios: Sequence[float] = (0.5, 1.0, 2.0),
-    rel_tolerance: float = 0.02,
-    atoms: Sequence[tuple[float, float]] = LIMIT_WEIGHT_ATOMS,
-) -> dict:
+def limit_weight_suite(seed: int = 2) -> dict:
     """Validate the limiting residual-mass weight against a concrete sample.
 
-    A size-m weighted sample targeting the three-atom law (points drawn
-    from the law tilted by 1/value, weighted by their value) is resampled
-    at each output ratio; its exact conditional variance, scaled by the
-    output size, must match the limiting formula
+    A weighted sample of m = 100,000 points targeting a three-atom law
+    (points drawn from the law tilted by 1/value, weighted by their value)
+    is resampled at the output ratios 1/2, 1 and 2; its exact conditional
+    variance, scaled by the output size, must match the limiting formula
     nu{ w(x) (f - c*)^2 },  c* = nu{w(x) f} / nu{w(x)},
-    within ``rel_tolerance`` relative, f the identity.
+    within 2% relative, f the identity.
     """
-    target = DiscreteDistribution(list(atoms))
+    m, rel_tolerance = 100_000, 0.02
+    # every atom's limiting copy count stays well clear of the integers for
+    # ratios 1/2, 1 and 2, and stays small, so the fractional parts are
+    # insensitive to the finite-sample fluctuation of the weight total
+    target = DiscreteDistribution([(0.8, 0.2), (0.9, 0.3), (1.5, 0.5)])
     results = []
     passed = True
     values = np.array(target.values)
@@ -209,7 +193,7 @@ def limit_weight_suite(
     points = values[idx]
     # each point is its own weight, and phi and f are the identity
     sample = WeightedSample(points)
-    for ell in ratios:
+    for ell in (0.5, 1.0, 2.0):
         if not residual_regularity_check(target, ell, values):
             raise ValueError("atoms must keep the limiting copy counts non-integer")
         m_out = int(round(ell * m))

@@ -46,11 +46,6 @@ def unit_scaled(weights: np.ndarray, ref: float) -> tuple[np.ndarray, float]:
     return np.ldexp(weights, shift), math.ldexp(ref, shift)
 
 
-def weight_total(weights: np.ndarray) -> float:
-    """Sum of weights.  numpy's pairwise summation keeps the error compensated."""
-    return float(np.sum(weights))
-
-
 def cv2_of_weights(weights: np.ndarray) -> float:
     """Relative variance of the normalized weights, M^-1 sum (M w_i / W - 1)^2.
 
@@ -59,7 +54,7 @@ def cv2_of_weights(weights: np.ndarray) -> float:
     """
     w = np.asarray(weights, dtype=float)
     m = w.size
-    total = weight_total(w)
+    total = float(np.sum(w))
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
     dev = m * (w / total) - 1.0
@@ -69,7 +64,7 @@ def cv2_of_weights(weights: np.ndarray) -> float:
 def ess_of_weights(weights: np.ndarray) -> float:
     """Effective sample size, (sum w)^2 / sum w^2, in [1, M], squares kept in the normal range."""
     w = np.asarray(weights, dtype=float)
-    total = weight_total(w)
+    total = float(np.sum(w))
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
     squares = float(np.sum(w * w)) if total * total < math.inf else 0.0
@@ -87,7 +82,7 @@ def estimate_of_weights(weights: np.ndarray, f_values) -> float | np.ndarray:
     ("non-finite integrand") on any non-finite value.
     """
     vals, one = f_value_rows(f_values, weights.size)
-    est = np.sum(weights * vals, axis=1) / weight_total(weights)
+    est = np.sum(weights * vals, axis=1) / float(np.sum(weights))
     return float(est[0]) if one else est
 
 
@@ -115,7 +110,7 @@ class WeightedSample:
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         with np.errstate(over="ignore"):  # an overflowing total is refused below
-            total = weight_total(w)
+            total = float(np.sum(w))
         if total <= 0.0:
             raise ValueError("degenerate weights: total weight is zero")
         if total == math.inf:

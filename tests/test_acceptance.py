@@ -27,6 +27,7 @@ from smclimits import (
     summarize_counterexample,
 )
 from smclimits.cli import DEFAULT_MASTER_SEED, default_config, main
+from smclimits.harness import CLT_MIN_P, CLT_RATIO_BAND, LLN_SLOPE_BAND
 from smclimits.verify import (
     limit_weight_suite,
     unbiasedness_suite,
@@ -59,11 +60,11 @@ def _bench_policy(kappa2: float) -> ResamplingPolicy:
 
 def test_criterion_01_resampling_unbiasedness():
     start = time.time()
-    suite = unbiasedness_suite(seed=SEED, n_random=200, max_m=4, max_m_out=4, tolerance=1e-12)
+    suite = unbiasedness_suite(seed=SEED)
     elapsed = time.time() - start
     _report(
         1,
-        suite["passed"] and elapsed < 5.0,
+        suite["passed"] and suite["tolerance"] == 1e-12 and elapsed < 5.0,
         f"enumeration vs estimate over {suite['n_checks']} checks, "
         f"max error {suite['max_abs_error']:.2e} (tol 1e-12), {elapsed:.1f}s",
     )
@@ -71,11 +72,12 @@ def test_criterion_01_resampling_unbiasedness():
 
 def test_criterion_02_residual_variance_ordering():
     start = time.time()
-    suite = variance_ordering_suite(seed=SEED + 1, n_cases=100, max_m=6, slack=1e-12)
+    suite = variance_ordering_suite(seed=SEED + 1)
     elapsed = time.time() - start
     _report(
         2,
-        suite["passed"] and elapsed < 1.0,
+        suite["passed"] and suite["slack"] == 1e-12 and suite["n_checks"] == 100
+        and elapsed < 1.0,
         f"residual <= multinomial on {suite['n_checks']} instances, "
         f"worst gap {suite['worst_gap']:.2e}, {elapsed:.1f}s",
     )
@@ -107,13 +109,18 @@ def test_criterion_03_ess_cv_identities():
 
 def test_criterion_04_residual_limit_weight():
     start = time.time()
-    suite = limit_weight_suite(seed=SEED + 3, m=100_000, ratios=(0.5, 1.0, 2.0),
-                               rel_tolerance=0.02)
+    suite = limit_weight_suite(seed=SEED + 3)
     elapsed = time.time() - start
     detail = ", ".join(
         f"ratio {r['ratio']}: {r['rel_error']:.4f}" for r in suite["results"]
     )
-    _report(4, suite["passed"] and elapsed < 30.0, f"rel errors [{detail}] (tol 2%), {elapsed:.1f}s")
+    design = (
+        suite["m"] == 100_000
+        and suite["rel_tolerance"] == 0.02
+        and [r["ratio"] for r in suite["results"]] == [0.5, 1.0, 2.0]
+    )
+    _report(4, suite["passed"] and design and elapsed < 30.0,
+            f"rel errors [{detail}] (tol 2%), {elapsed:.1f}s")
 
 
 def test_criterion_05_clt_reproduction(bench):
@@ -134,11 +141,12 @@ def test_criterion_05_clt_reproduction(bench):
         )
         report = run_replicates(config)
         sigma2 = run_recursion(bench, "prior", config.policy, horizon=4).sigma2(f_table)
-        check = clt_check(report, sigma2, ratio_band=(0.8, 1.25), min_p=0.01)
+        check = clt_check(report, sigma2)
         all_ok &= check.passed
         details.append(f"kappa2={kappa2}: ratio {check.var_ratio:.3f}, ks_p {check.ks_p:.3f}")
     elapsed = time.time() - start
-    _report(5, all_ok and elapsed < 180.0, "; ".join(details) + f", {elapsed:.1f}s")
+    levels = CLT_RATIO_BAND == (0.8, 1.25) and CLT_MIN_P == 0.01
+    _report(5, all_ok and levels and elapsed < 180.0, "; ".join(details) + f", {elapsed:.1f}s")
 
 
 def test_criterion_06_lln_rate(bench):
@@ -153,11 +161,11 @@ def test_criterion_06_lln_rate(bench):
         replicates=200,
         seed=SEED,
     )
-    check = lln_check(run_replicates(config), band=(-0.6, -0.4))
+    check = lln_check(run_replicates(config))
     elapsed = time.time() - start
     _report(
         6,
-        check.passed and elapsed < 180.0,
+        check.passed and LLN_SLOPE_BAND == (-0.6, -0.4) and elapsed < 180.0,
         f"log2-RMSE slope {check.slope:.3f} in [-0.6,-0.4]: {check.slope_in_band}, "
         f"max-weight fraction decreasing: {check.max_fraction_decreasing}, {elapsed:.1f}s",
     )

@@ -1,6 +1,5 @@
 """Tests for the command-line front end: schema, exit codes, artifacts."""
 
-import functools
 import hashlib
 import json
 import logging
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from smclimits import cli
+from smclimits import cli, verify
 from smclimits.cli import build_experiment, default_config, main
 
 
@@ -125,6 +124,49 @@ class TestOracleCompatibility:
         assert self._ell_half(tmp_path, "variance-table", trigger="never") == 0
 
 
+def _run_reports(tmp_path: Path, name: str, command: str, cfg: dict, capsys) -> tuple:
+    """Exit code, stdout and reports of one run; the summary without its echoed
+    policy and config hash, which differ between equivalent policies."""
+    out = tmp_path / name
+    code = main([command, "--config", _write(tmp_path, cfg, f"{name}.json"),
+                 "--out-dir", str(out)])
+    reports = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            del doc["config"]["policy"], doc["config_hash"]
+            reports[path.name] = doc
+        else:
+            reports[path.name] = path.read_bytes()
+    return code, capsys.readouterr().out, reports
+
+
+class TestInfiniteThreshold:
+    """Under "cv" with kappa2 "inf" selection never fires: the filter, the oracle
+    and every rule that asks whether selection can fire treat it as "never"."""
+
+    _CLT = {"m_list": [64], "replicates": 200, "horizon": 3}
+
+    @pytest.mark.parametrize("command, experiment, policy", [
+        pytest.param("variance-table", {}, {"scheme": "residual"}, id="table-residual"),
+        pytest.param("variance-table", {}, {"ell": 0.5}, id="table-ell-half"),
+        pytest.param("verify-clt", _CLT, {"scheme": "residual"}, id="clt-residual"),
+        pytest.param("verify-clt", _CLT, {"ell": 0.5}, id="clt-ell-half"),
+        # with selection at every step, 16 particles would shrink below one
+        pytest.param("verify-lln", {"m_list": [16, 32, 64, 256], "replicates": 4,
+                                    "horizon": 3}, {"ell": 0.001}, id="lln-ell-tiny"),
+    ])
+    def test_reports_equal_the_never_reports(self, tmp_path, capsys, command, experiment,
+                                             policy):
+        cfg = default_config()
+        cfg["experiment"].update(experiment)
+        cfg["policy"].update(policy, trigger="never")
+        expected = _run_reports(tmp_path, "never", command, cfg, capsys)
+        cfg["policy"].update(trigger="cv", kappa2="inf")
+        assert _run_reports(tmp_path, "inf", command, cfg, capsys) == expected
+        assert expected[0] in (0, 1)
+
+
 class TestVerifyLln:
     def test_builtin_grid_rejected_before_any_replicate(self, tmp_path):
         # the built-in config has one particle count: no rate can be fitted
@@ -143,6 +185,27 @@ class TestVerifyLln:
         cfg_path = _write(tmp_path, cfg)
         assert main(["verify-lln", "--config", cfg_path, "--out-dir", str(tmp_path)]) in (0, 1)
         assert capsys.readouterr().out.startswith(("PASS lln slope=", "FAIL lln slope="))
+
+    def test_two_functions_rejected_before_any_replicate(self, tmp_path, monkeypatch, capsys):
+        # the rate fit judges one function; a second one used to go unjudged
+        monkeypatch.setattr(cli, "run_replicates", None)
+        cfg = default_config()
+        cfg["model"].update({"obs_seed": 5, "parameters": {
+            "initial": [0.3, 0.3, 0.4],
+            "transition": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+        }})
+        cfg["experiment"].update({
+            "m_list": [64, 128, 256, 512, 1024], "replicates": 20,
+            "functions": [{"name": "ind0", "kind": "indicator", "state": 0},
+                          {"name": "ind2", "kind": "indicator", "state": 2}],
+        })
+        out = tmp_path / "out"
+        code = main(["verify-lln", "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "experiment.functions: the rate fit judges one function, and 2 were given" in (
+            capsys.readouterr().err
+        )
 
 
 _DROP = object()  # a patch value that removes its key
@@ -486,8 +549,7 @@ class TestVerifyResampling:
         }
 
     def test_zero_tolerance_fails(self, tmp_path, monkeypatch):
-        strict = functools.partial(cli.unbiasedness_suite, tolerance=0.0)
-        monkeypatch.setattr(cli, "unbiasedness_suite", strict)
+        monkeypatch.setattr(verify, "UNBIASEDNESS_TOLERANCE", 0.0)
         assert main(["verify-resampling", "--out-dir", str(tmp_path)]) == 1
 
 

@@ -382,6 +382,15 @@ class TestLlnCheck:
         with pytest.raises(ValueError, match="4 particle counts"):
             lln_check(report)
 
+    def test_judges_exactly_one_function(self, tiny_config):
+        # the fit judges one function: a second one would go unjudged
+        two = dataclasses.replace(tiny_config, functions=(
+            TerminalFunction(name="ind0", kind="indicator", state=0),
+            TerminalFunction(name="ind1", kind="indicator", state=1),
+        ))
+        with pytest.raises(ValueError, match="one function, and 2 were given"):
+            lln_check(run_replicates(two))
+
     def test_grid_rule(self):
         require_lln_grid((256, 16, 64, 32))
         for counts in ((16, 32, 64), (16, 32, 64, 128)):

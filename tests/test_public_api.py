@@ -1,5 +1,9 @@
 """The package's public surface."""
 
+import ast
+import sys
+from pathlib import Path
+
 import smclimits
 
 
@@ -7,3 +11,22 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from smclimits import *", namespace)  # raises on a name the package lacks
     assert set(smclimits.__all__) <= set(namespace)
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    # numpy is the only declared runtime dependency; scipy is installed for
+    # the tests, so a stray import of it would otherwise pass unnoticed
+    allowed = set(sys.stdlib_module_names) | {"numpy", "smclimits"}
+    package = Path(smclimits.__file__).parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert stray == []

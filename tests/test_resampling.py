@@ -360,6 +360,20 @@ class TestPolicy:
         assert cv.should_fire(1.5)
         assert not cv.should_fire(0.99)
 
+    @pytest.mark.parametrize(
+        "trigger, kappa2, can_fire",
+        [
+            ("always", 0.0, True),
+            ("always", math.inf, True),
+            ("cv", 0.0, True),
+            ("cv", 1e300, True),
+            ("cv", math.inf, False),  # no finite cv2 reaches the threshold
+            ("never", 0.0, False),
+        ],
+    )
+    def test_can_fire(self, trigger, kappa2, can_fire):
+        assert ResamplingPolicy(trigger=trigger, kappa2=kappa2).can_fire is can_fire
+
     def test_output_size(self):
         assert ResamplingPolicy(ratio=0.5).output_size(10) == 5
 
