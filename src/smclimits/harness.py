@@ -308,13 +308,16 @@ class ExperimentReport:
         return np.array([row["scaled_errors"][function] for row in self.rows if row["m"] == m])
 
     def csv_lines(self) -> list[str]:
-        """One line per replicate, with the first function's estimate and scaled error."""
-        first = next(iter(self.truths))
-        lines = ["m,replicate,estimate,scaled_error,final_ess,n_resamples"]
+        """One line per replicate; every further function adds estimate[name],scaled_error[name]."""
+        first, *rest = self.truths
+        lines = ["m,replicate,estimate,scaled_error,final_ess,n_resamples"
+                 + "".join(f",estimate[{name}],scaled_error[{name}]" for name in rest)]
         for row in self.rows:
+            est, err = row["estimates"], row["scaled_errors"]
             lines.append(
-                f"{row['m']},{row['replicate']},{row['estimates'][first]!r},"
-                f"{row['scaled_errors'][first]!r},{row['final_ess']!r},{row['n_resamples']}"
+                f"{row['m']},{row['replicate']},{est[first]!r},{err[first]!r},"
+                f"{row['final_ess']!r},{row['n_resamples']}"
+                + "".join(f",{est[name]!r},{err[name]!r}" for name in rest)
             )
         return lines
 

@@ -102,7 +102,7 @@ def categorical_indices(
     order = np.argsort(u)
     idx = np.empty(n_draws, dtype=np.intp)
     idx[order] = np.searchsorted(cum, u[order], side="right")
-    return np.minimum(idx, weights.size - 1)
+    return np.minimum(idx, weights.size - 1, out=idx)
 
 
 class ResidualAllocation(NamedTuple):

@@ -21,12 +21,14 @@ Three proposal kernels are built in:
   Metropolis-Hastings move that leaves the previous smoothing law
   invariant, then extend as the prior kernel does.
 
-Each kind is defined once, by :func:`step_kernel`; the filter and the
-variance oracle both read that definition.  For discrete models every
-oracle quantity is an exact finite sum, which the oracle modules rely on; a
-scalar linear-Gaussian model is included for continuous-state smoke
-tests with Kalman-filter reference values.  :meth:`SmcTrace.terminal_estimate`
-takes f as ``f_values``, its values at the current particles: (m,) or (k, m).
+Each kind is defined once, by :func:`step_kernel`; the filter and the variance
+oracle both read that definition.  A discrete model builds its log-likelihood
+table and cumulative transition rows once, on first use; the optimal kernel
+builds its tilted rows once per kernel.  For discrete models every oracle
+quantity is an exact finite sum, which the oracle modules rely on; a scalar
+linear-Gaussian model is included for continuous-state smoke tests with
+Kalman-filter reference values.  :meth:`SmcTrace.terminal_estimate` takes f as
+``f_values``, its values at the current particles: (m,) or (k, m).
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ PROPOSAL_KINDS = (PRIOR, OPTIMAL, RESAMPLE_MOVE)
 
 MAX_POPULATION = 2**22  # largest particle count selection may grow a run to
 MAX_ORACLE_CELLS = 2**24  # most array cells the variance recursion may hold at once
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -91,11 +98,9 @@ class DiscreteHMM:
             raise ValueError("transition rows must be probability vectors")
         if not np.all(likelihoods > 0.0):
             raise ValueError("likelihoods must be strictly positive")
-        for a in (initial, transition, likelihoods):
-            a.setflags(write=False)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "likelihoods", likelihoods)
+        object.__setattr__(self, "initial", _read_only(initial))
+        object.__setattr__(self, "transition", _read_only(transition))
+        object.__setattr__(self, "likelihoods", _read_only(likelihoods))
 
     @property
     def n_states(self) -> int:
@@ -104,6 +109,16 @@ class DiscreteHMM:
     @property
     def horizon(self) -> int:
         return self.likelihoods.shape[0]
+
+    @cached_property
+    def log_likelihoods(self) -> np.ndarray:
+        """``np.log(likelihoods)``, built on first use and read-only."""
+        return _read_only(np.log(self.likelihoods))
+
+    @cached_property
+    def cumulative_transition(self) -> np.ndarray:
+        """The transition rows' cumulative sums, built on first use and read-only."""
+        return _read_only(np.cumsum(self.transition, axis=1))
 
     def to_dict(self) -> dict:
         return {
@@ -235,9 +250,10 @@ class StepKernel:
     coordinate given the parent's last one, and ``w`` is W with a length-1
     axis on the side it ignores: ``g_k[None, :]`` for the prior and the
     path move, the predictive likelihoods ``norms[:, None]`` for the
-    optimal kernel.  From step 3 on, ``resample_move`` first moves the
-    parent's last coordinate through :attr:`moves`.  The linear-Gaussian
-    kernels hold no tables.
+    optimal kernel.  The sampler reads only ``cum``, the rows of ``prop``
+    summed, and ``log_w = np.log(w)``.  From step 3 on, ``resample_move``
+    first moves the parent's last coordinate through :attr:`moves`.  The
+    linear-Gaussian kernels hold no tables.
     """
 
     model: DiscreteHMM | LinearGaussianSSM
@@ -245,6 +261,8 @@ class StepKernel:
     kind: str
     prop: np.ndarray | None = None
     w: np.ndarray | None = None
+    cum: np.ndarray | None = None
+    log_w: np.ndarray | None = None
 
     @property
     def has_move(self) -> bool:
@@ -329,10 +347,9 @@ class StepKernel:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(t_cur > 0.0, t_prop / np.where(t_cur > 0.0, t_cur, 1.0), np.inf)
             last = np.where(rng.random(m) < ratio, proposals, last)
-        new = _rows_categorical(np.cumsum(self.prop, axis=1), last, rng)
+        new = _rows_categorical(self.cum, last, rng)
         carried = np.stack([last, new], axis=1) if self.kind == RESAMPLE_MOVE else new[:, None]
-        w = self.w.ravel()[new if self.w.shape[0] == 1 else last]
-        return carried, np.log(w)
+        return carried, self.log_w.ravel()[new if self.log_w.shape[0] == 1 else last]
 
     def factors(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """R(., W^p .) as Q @ D between carried coordinates, flattened last coordinate fastest.
@@ -371,12 +388,14 @@ def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> St
         return StepKernel(model, k, kind)
     g = model.likelihoods[k - 1][None, :]
     if kind != OPTIMAL:
-        return StepKernel(model, k, kind, model.transition, g)
+        log_g = model.log_likelihoods[k - 1][None, :]
+        return StepKernel(model, k, kind, model.transition, g, model.cumulative_transition, log_g)
     tilted = model.transition * g
     norms = np.sum(tilted, axis=1, keepdims=True)
     if np.any(norms <= 0.0):
         raise ValueError("optimal kernel undefined: a transition row has zero tilted mass")
-    return StepKernel(model, k, kind, tilted / norms, norms)
+    prop = tilted / norms
+    return StepKernel(model, k, kind, prop, norms, np.cumsum(prop, axis=1), np.log(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +503,11 @@ def smc_init(
     if proposal_kind not in PROPOSAL_KINDS:
         raise ValueError(f"unknown proposal kind {proposal_kind!r}")
     if isinstance(model, DiscreteHMM):
-        first = model.initial * model.likelihoods[0]
-        start = np.zeros(m, dtype=np.int64)
-        paths = _rows_categorical(np.cumsum(first)[None, :], start, rng)[:, None]
+        cum = np.cumsum(model.initial * model.likelihoods[0])
+        u = rng.random(m) * cum[-1]
+        paths = np.zeros((m, 1), dtype=np.int64)
+        for column in cum[:-1]:  # _rows_categorical's count, on its one row
+            paths[:, 0] += column <= u
     else:
         v0 = model.stationary_var
         tau2 = model.obs_std**2
@@ -522,18 +543,18 @@ def smc_step(trace: SmcTrace, rng: np.random.Generator) -> SmcTrace:
         raise ValueError("no observations left: the trace already reached the horizon")
     rec = trace.current
     paths, log_inc = step_kernel(model, k, trace.proposal_kind).mutate(rec.paths, rng)
-    shift = float(np.max(log_inc))
-    if not np.isfinite(shift):
+    shift = float(log_inc.max())
+    if not math.isfinite(shift):
         raise ValueError("weight collapse: non-finite incremental weights")
     mutated = rec.weights * np.exp(log_inc - shift)
-    top = float(np.max(mutated))
+    top = float(mutated.max())
     if top * top < TINY:  # the weights shrink at every step without selection
         mutated, top = unit_scaled(mutated, top)
-    total = float(np.sum(mutated))
-    if not (total > 0.0 and np.isfinite(total)):
+    total = float(mutated.sum())
+    if not (total > 0.0 and math.isfinite(total)):
         raise ValueError("weight collapse: all mutated weights vanished")
-    cv2 = cv2_of_weights(mutated)
-    ess = ess_of_weights(mutated)
+    cv2 = cv2_of_weights(mutated, total)
+    ess = ess_of_weights(mutated, total)
     max_frac = top / total
     fire = policy.should_fire(cv2)
     if fire:

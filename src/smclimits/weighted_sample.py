@@ -32,7 +32,7 @@ def f_value_rows(f_values, m: int) -> tuple[np.ndarray, bool]:
     vals = np.asarray(f_values, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != m:
         raise ValueError(f"f_values must have shape ({m},) or (k, {m})")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("non-finite integrand")
     return np.ascontiguousarray(np.atleast_2d(vals)), vals.ndim == 1
 
@@ -46,31 +46,32 @@ def unit_scaled(weights: np.ndarray, ref: float) -> tuple[np.ndarray, float]:
     return np.ldexp(weights, shift), math.ldexp(ref, shift)
 
 
-def cv2_of_weights(weights: np.ndarray) -> float:
+def cv2_of_weights(weights: np.ndarray, total: float | None = None) -> float:
     """Relative variance of the normalized weights, M^-1 sum (M w_i / W - 1)^2.
 
     Shared by :meth:`WeightedSample.cv2` and the filter loop so both report
-    bit-identical values for the same weight vector.
+    bit-identical values for the same weight vector.  A caller holding the
+    total ``float(weights.sum())`` passes it, here and to the ESS below.
     """
     w = np.asarray(weights, dtype=float)
     m = w.size
-    total = float(np.sum(w))
+    total = float(w.sum()) if total is None else total
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
     dev = m * (w / total) - 1.0
-    return float(np.sum(dev * dev)) / m
+    return float((dev * dev).sum()) / m
 
 
-def ess_of_weights(weights: np.ndarray) -> float:
+def ess_of_weights(weights: np.ndarray, total: float | None = None) -> float:
     """Effective sample size, (sum w)^2 / sum w^2, in [1, M], squares kept in the normal range."""
     w = np.asarray(weights, dtype=float)
-    total = float(np.sum(w))
+    total = float(w.sum()) if total is None else total
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
-    squares = float(np.sum(w * w)) if total * total < math.inf else 0.0
+    squares = float((w * w).sum()) if total * total < math.inf else 0.0
     if squares < TINY:
         w, total = unit_scaled(w, total)
-        squares = float(np.sum(w * w))
+        squares = float((w * w).sum())
     return total * total / squares
 
 
@@ -82,7 +83,7 @@ def estimate_of_weights(weights: np.ndarray, f_values) -> float | np.ndarray:
     ("non-finite integrand") on any non-finite value.
     """
     vals, one = f_value_rows(f_values, weights.size)
-    est = np.sum(weights * vals, axis=1) / float(np.sum(weights))
+    est = (weights * vals).sum(axis=1) / float(weights.sum())
     return float(est[0]) if one else est
 
 
@@ -130,11 +131,11 @@ class WeightedSample:
         Equals M for equal weights and 1 when a single weight carries all
         the mass; always satisfies ``ess * (1 + cv2) == M`` up to rounding.
         """
-        return ess_of_weights(self.weights)
+        return ess_of_weights(self.weights, self.total)
 
     def cv2(self) -> float:
         """Squared coefficient of variation of the normalized weights."""
-        return cv2_of_weights(self.weights)
+        return cv2_of_weights(self.weights, self.total)
 
     def max_weight_fraction(self) -> float:
         """Largest normalized weight, max_i w_i / W, in (0, 1].

@@ -376,6 +376,33 @@ class TestAffineEstimates:
             assert line.split(",")[2] == repr(row["estimates"]["g"])
 
 
+class TestCsvLines:
+    def test_every_function_has_its_columns(self):
+        cfg = cli.default_config()
+        cfg["model"]["parameters"] = {
+            "initial": [0.2, 0.5, 0.3],
+            "transition": [[0.8, 0.1, 0.1], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
+        }
+        cfg["experiment"].update(
+            horizon=3, m_list=[16, 32], replicates=3,
+            functions=[{"name": f"ind{s}", "kind": "indicator", "state": s} for s in (0, 1)],
+        )
+        report = run_replicates(cli.build_experiment(cfg))
+        header, *lines = report.csv_lines()
+        assert header == (
+            "m,replicate,estimate,scaled_error,final_ess,n_resamples,"
+            "estimate[ind1],scaled_error[ind1]"
+        )
+        assert len(lines) == len(report.rows) == 6
+        for row, line in zip(report.rows, lines, strict=True):
+            est, err = row["estimates"], row["scaled_errors"]
+            assert line.split(",") == [
+                str(row["m"]), str(row["replicate"]), repr(est["ind0"]), repr(err["ind0"]),
+                repr(row["final_ess"]), str(row["n_resamples"]),
+                repr(est["ind1"]), repr(err["ind1"]),
+            ]
+
+
 class TestLlnCheck:
     def test_grid_requirements(self, tiny_config):
         report = run_replicates(tiny_config)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smclimits import DiscreteHMM, step_kernel
 from smclimits.state_space import as_rng
@@ -36,6 +38,37 @@ class TestMutateBasics:
         for kind in ("prior", "optimal", "resample_move"):
             _, log_w = step_kernel(MODEL, 3, kind).mutate(parents, as_rng(1))
             assert np.all(np.isfinite(log_w))
+
+    @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])
+    def test_kernel_tables(self, kind):
+        # the sampler's tables: cumulative rows of prop and log W, read-only;
+        # the prior and the path move share the model's, built once
+        for k in (2, 3):
+            kernel = step_kernel(MODEL, k, kind)
+            assert np.array_equal(kernel.cum, np.cumsum(kernel.prop, axis=1))
+            assert _bits(kernel.log_w) == _bits(np.log(kernel.w))
+            if kind != "optimal":
+                assert kernel.cum is MODEL.cumulative_transition
+                assert kernel.log_w.base is MODEL.log_likelihoods
+        for table in (MODEL.cumulative_transition, MODEL.log_likelihoods):
+            assert not table.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=12).map(np.array),
+        picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=64),
+    )
+    def test_log_of_a_gather_is_a_gather_of_the_log(self, table, picks):
+        # mutate gathers log W from a table taken once; this is the bit
+        # identity that makes it equal to the log of the gathered W
+        idx = np.array(picks) % table.size
+        assert _bits(np.log(table)[idx]) == _bits(np.log(table[idx]))
+        column = table[:, None]
+        assert _bits(np.log(column).ravel()[idx]) == _bits(np.log(column.ravel()[idx]))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
 def _joint_conditional_expectations(kernel, parents, weights, f):

@@ -366,6 +366,44 @@ STEP_DRAWS = {
 }
 
 
+# sha256 over every record of the ess, cv2 and max_weight_fraction floats
+# and the resampled flag, for the same runs as STEP_DRAWS
+STEP_SCALARS = {
+    "hmm2/optimal/cv": "f00c67d568397975667fe0c5f4aa03e1ddf2827e6491cfac9a2cc845529c6586",
+    "hmm2/optimal/grow": "10ed93ff512615a6ae3a7bcf112edd6bd73f16027cfb8c5c78ba2909edd2c959",
+    "hmm2/optimal/never": "f00c67d568397975667fe0c5f4aa03e1ddf2827e6491cfac9a2cc845529c6586",
+    "hmm2/optimal/residual": "ab0186eff11edd8d61fd642fd8b0cb9efafdcdbeef7f808ca3a81b3afbc0506b",
+    "hmm2/prior/cv": "aed57a66e67cb07220b0db0f32599c6d749629ef9c5c38e57ee056ae168eb0f4",
+    "hmm2/prior/grow": "650e319b43b435a9d8f29eec3ba12bd4c0df2f29715b20be1590134e22629f83",
+    "hmm2/prior/never": "98c784dbfe8ee976a86391f4075a110a856d718981f0f555e6f20655e2fd2d10",
+    "hmm2/prior/residual": "a00367bd61aec417712e244e1b4ecd32e7962687bfb5c09dc3d172903a662e29",
+    "hmm2/resample_move/cv": "d394aadb926739bd123bb95f9428cdfe83629578384c8689a3f3c91aee1da374",
+    "hmm2/resample_move/grow": "ac377ad144423a268533c4c2a90e6aa62581138970e2f8ecc022260019b06359",
+    "hmm2/resample_move/never": "25f8208490cd58a3f8a065b734014b6ff4f4a60f23aebf809bb78ade1555e483",
+    "hmm2/resample_move/residual": "c58278b98d588f9c4d29221530cdf79c539c01a7c2508f1751358be8b7106b3a",
+    "hmm3/optimal/cv": "9d6fbf6a6008844b7701c0e3ca3d17004e21edf2251cd45bb38f7f0ea584e2e5",
+    "hmm3/optimal/grow": "558e9d6f1f3d9603a19091c520eb70555e7391bd439e0225c2a9bfa839feabcb",
+    "hmm3/optimal/never": "9d6fbf6a6008844b7701c0e3ca3d17004e21edf2251cd45bb38f7f0ea584e2e5",
+    "hmm3/optimal/residual": "0fc3557e22007281df7be81cfd8f8428ba1398a55a95be8e6c65170d09f60517",
+    "hmm3/prior/cv": "601bb8c2688bd66f1923e8b78520279c582a53dec2f1ec5eccbc3048411806d2",
+    "hmm3/prior/grow": "90b1c46122f2939965f8ccb9cdf2f531b62063fd4b7fcf175efbd0a67ef93bb4",
+    "hmm3/prior/never": "601bb8c2688bd66f1923e8b78520279c582a53dec2f1ec5eccbc3048411806d2",
+    "hmm3/prior/residual": "4301609a486f55f12eff61103c5b3711d2771c2e3e10920dd8d40662f13cec3e",
+    "hmm3/resample_move/cv": "534b1a8d30a0866654bf0905777bb6fe278dcba9875ba8fd354aa7b15b76427f",
+    "hmm3/resample_move/grow": "3c94b7ef1047878f8c11afd682c8043e11c44f714fa5d3e678a7d874eb51c8a3",
+    "hmm3/resample_move/never": "534b1a8d30a0866654bf0905777bb6fe278dcba9875ba8fd354aa7b15b76427f",
+    "hmm3/resample_move/residual": "94f36b63ca85c6e195981d585f3804821f04eaed8975ed2e9699aced8973b4af",
+    "lg/optimal/cv": "508bdaedbf428c4764b31578e9351861bfd1c1724a4d8e3598dae4a2fc0a4a7a",
+    "lg/optimal/grow": "4772e2835af71d93b9ab49d055ebd05f77fdedb6e8fb15be2970cbb596b0198f",
+    "lg/optimal/never": "508bdaedbf428c4764b31578e9351861bfd1c1724a4d8e3598dae4a2fc0a4a7a",
+    "lg/optimal/residual": "f43ab05866b4e927e7530b024f33ee3d82981e66001b6f1f7f8eaf755c3820a5",
+    "lg/prior/cv": "03f92fa86464299dccf0ae24f93519bdcaa20999ed86045ec6215d3c9d1d7539",
+    "lg/prior/grow": "4c56bb7b9fe12d7fd7004d020eb8dfd1a46d7c95446ec32a9c12c3095c2c76f7",
+    "lg/prior/never": "b2eadaa0ac003fd2247e17e00cb55fcce54593500a552bbca94e4cee4a5c3db6",
+    "lg/prior/residual": "77dd96d6de496bbb25ba8286f66a7ee195c218469d8ca3feaaa7f156dba26e05",
+}
+
+
 class TestPathStorage:
     @pytest.mark.parametrize("case", sorted(STEP_DRAWS))
     def test_paths_at_rebuilds_every_step(self, case):
@@ -377,6 +415,16 @@ class TestPathStorage:
             assert paths.shape == (rec.weights.size, rec.step)
             digest.update(paths.tobytes() + rec.weights.tobytes())
         assert digest.hexdigest() == STEP_DRAWS[case]
+
+    @pytest.mark.parametrize("case", sorted(STEP_SCALARS))
+    def test_step_scalars_are_pinned(self, case):
+        model_name, kind, policy_name = case.split("/")
+        model, policy = STEP_MODELS[model_name](), STEP_POLICIES[policy_name]
+        digest = hashlib.sha256()
+        for rec in smc_run(model, kind, policy, 64, 21).records:
+            scalars = np.array([rec.ess, rec.cv2, rec.max_weight_fraction])
+            digest.update(scalars.tobytes() + bytes([rec.resampled]))
+        assert digest.hexdigest() == STEP_SCALARS[case]
 
     @pytest.mark.parametrize("kind", PROPOSAL_KINDS + ("lg_prior",))
     def test_state_is_linear_in_the_horizon(self, kind):

@@ -10,9 +10,12 @@ m * horizon * replicates.  The counts read from the records each filter
 step leaves (trace and path bytes) and from the oracle's steps (cells)
 must be seen as well, and on ``clt-small`` the oracle's timed calls: the
 benchmark marks that workload incorrect when ``run_recursion`` or
-``sigma2`` reads 0 s.  The ``verify-resampling`` pass runs on the
-built-in config; its check, enumeration, moment and sample counts are all
-fixed by the suites' sizes.
+``sigma2`` reads 0 s.  Every filter step must call ``cv2_of_weights`` and
+``ess_of_weights`` once each through the ``state_space`` names, and the
+workload's resampling scheme must make draws: a step that inlined the
+diagnostics or skipped ``resample_indices`` would pass every other test.
+The ``verify-resampling`` pass runs on the built-in config; its check,
+enumeration, moment and sample counts are all fixed by the suites' sizes.
 """
 
 import json
@@ -28,22 +31,23 @@ BENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize(
-    "command, workload, experiment, particle_steps, seen, timed",
+    "command, workload, experiment, particle_steps, filter_steps, seen, timed",
     [
         pytest.param(
             "verify-clt", "clt-small.json", {"m_list": [64], "replicates": 200},
-            64 * 4 * 200, ("variance_oracle.path_cells",),
+            64 * 4 * 200, 3 * 200, ("variance_oracle.path_cells", "resampling.multinomial.draws"),
             ("variance_oracle.recursion_s", "variance_oracle.sigma2_s"), id="clt-small",
         ),
         pytest.param(
             "verify-lln", "lln-long.json",
             {"m_list": [16, 32, 64, 256], "replicates": 4, "horizon": 10},
-            (16 + 32 + 64 + 256) * 10 * 4, (), (), id="lln-long",
+            (16 + 32 + 64 + 256) * 10 * 4, 9 * 4 * 4, ("resampling.residual.draws",), (),
+            id="lln-long",
         ),
     ],
 )
 def test_traced_pass_counts_every_particle_step(
-    tmp_path, command, workload, experiment, particle_steps, seen, timed
+    tmp_path, command, workload, experiment, particle_steps, filter_steps, seen, timed
 ):
     cfg = json.loads((BENCH / "workloads" / workload).read_text())
     cfg["experiment"].update(experiment)
@@ -58,6 +62,9 @@ def test_traced_pass_counts_every_particle_step(
     for name in timed:
         value, unit = result["metrics"][name]
         assert unit == "s" and value > 0, name
+    # one cv2_of_weights and one ess_of_weights call per step after the first:
+    # 1,200 for clt-small, 288 for lln-long
+    assert result["metrics"]["weighted_sample.diagnostics_calls"] == [2 * filter_steps, "count"]
 
 
 def test_traced_pass_sees_the_resampling_suites(tmp_path):

@@ -1,9 +1,14 @@
 """Tests for the weighted-sample type and its diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smclimits import WeightedSample
+from smclimits.weighted_sample import TINY, cv2_of_weights, ess_of_weights, unit_scaled
 
 
 class TestEstimate:
@@ -119,6 +124,41 @@ class TestDiagnostics:
             )
             for a, b in zip(base, got):
                 assert a == pytest.approx(b, rel=1e-12)
+
+
+# totals a caller may hold: as drawn, brought to the smallest normal
+# float's binade or into the subnormal range by a power of two, or unit
+# scaled as the filter does when its largest weight's square is subnormal
+def _rescaled(w, scale):
+    total = float(w.sum())
+    if scale == "tiny":
+        return np.ldexp(w, -1021 - math.frexp(total)[1])
+    if scale == "subnormal":
+        return np.ldexp(w, -1030 - math.frexp(total)[1])
+    if scale == "unit":
+        return unit_scaled(w, float(w.max()))[0]
+    return w
+
+
+class TestPassedTotal:
+    """The filter passes the total it has; both diagnostics must give the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-300, 1e300)),
+            min_size=1, max_size=64,
+        ),
+        scale=st.sampled_from(["as drawn", "tiny", "subnormal", "unit"]),
+    )
+    def test_a_passed_total_changes_no_bit(self, weights, scale):
+        w = _rescaled(np.array(weights), scale)
+        total = float(w.sum())
+        assume(total > 0.0)
+        if scale == "subnormal":
+            assert total < TINY
+        assert cv2_of_weights(w, total) == cv2_of_weights(w)
+        assert ess_of_weights(w, total) == ess_of_weights(w)
 
 
 class TestNormalize:
