@@ -10,21 +10,25 @@ variance-table      per-step output of the exact variance recursion
 
 All take ``--config PATH`` (a JSON document; a built-in default is used
 when omitted), ``--seed`` (overrides the experiment seed), ``--out-dir``
-and ``--workers``.  Exit codes: 0 all checks passed, 1 a check failed,
-2 configuration error, 3 internal error.  Set the SMC_LIMITS_LOG
-environment variable to a logging level name for progress output.
+and ``--workers``.  Only this module knows the document's format: it parses
+it, and every report echoes it (:func:`config_echo`) and its hash.  A rule
+of the library is refused by the class that owns it, in its own words.
+Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
+3 internal error.  Set the SMC_LIMITS_LOG environment variable to a logging
+level name for progress output.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +47,7 @@ from .harness import (
     summarize_counterexample,
 )
 from .resampling import MULTINOMIAL, ResamplingPolicy
-from .state_space import PROPOSAL_KINDS, DiscreteHMM, LinearGaussianSSM, random_likelihood_table
+from .state_space import DiscreteHMM, LinearGaussianSSM, random_likelihood_table
 from .variance_oracle import VarianceRecursionState, run_recursion
 from .verify import (
     limit_weight_suite,
@@ -135,10 +139,18 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+# The fields each function kind reads, and the only ones its entry may carry
+FUNCTION_FIELDS = {"indicator": ("state",), "affine": ("a", "b"), "table": ("values",)}
+
+
 def _parse_function(entry: dict, index: int) -> TerminalFunction:
     path = f"experiment.functions[{index}]"
-    _require_keys(entry, path, ("kind",), ("name", "state", "a", "b", "values"))
-    kind = entry["kind"]
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: expected an object")
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in FUNCTION_FIELDS:
+        raise ConfigError(f"{path}.kind: expected one of {sorted(FUNCTION_FIELDS)}")
+    _require_keys(entry, path, ("kind",), ("name",) + FUNCTION_FIELDS[kind])
     name = entry.get("name", f"f{index}")
     if not isinstance(name, str):
         raise ConfigError(f"{path}.name: expected a string")
@@ -152,14 +164,9 @@ def _parse_function(entry: dict, index: int) -> TerminalFunction:
             a=_number(entry.get("a", 1.0), f"{path}.a"),
             b=_number(entry.get("b", 0.0), f"{path}.b"),
         )
-    if kind == "table":
-        values = entry.get("values")
-        if not isinstance(values, list):
-            raise ConfigError(f"{path}: table functions need a 'values' list")
-        for i, value in enumerate(values):
-            _number(value, f"{path}.values[{i}]")
-        return TerminalFunction(name=name, kind=kind, values=tuple(values))
-    raise ConfigError(f"{path}: unknown function kind {kind!r}")
+    values = entry.get("values")
+    _numbers(values, f"{path}.values", 1)  # the echo keeps the values as written
+    return TerminalFunction(name=name, kind=kind, values=tuple(values))
 
 
 def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentConfig:
@@ -184,29 +191,19 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
         if name in names[:i]:
             raise ConfigError(f"experiment.functions[{i}].name: duplicate name {name!r}")
 
-    proposal = cfg["proposal"]
-    if proposal not in PROPOSAL_KINDS:
-        raise ConfigError(f"proposal: expected one of {PROPOSAL_KINDS}")
-
     pol = cfg["policy"]
     _require_keys(pol, "policy", (), ("scheme", "trigger", "kappa2", "ell"))
     kappa2 = pol.get("kappa2", 0.0)
-    try:
-        policy = ResamplingPolicy(
-            scheme=pol.get("scheme", MULTINOMIAL),
-            trigger=pol.get("trigger", "always"),
-            kappa2=math.inf if kappa2 == "inf" else _number(kappa2, "policy.kappa2"),
-            ratio=_number(pol.get("ell", 1.0), "policy.ell"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from exc
-
-    model = build_model(cfg["model"], horizon)
-    try:
+    try:  # ConfigError is no ValueError: the parser's own refusals pass through
         return ExperimentConfig(
-            model=model,
-            proposal_kind=proposal,
-            policy=policy,
+            model=build_model(cfg["model"], horizon),
+            proposal_kind=cfg["proposal"],
+            policy=ResamplingPolicy(
+                scheme=pol.get("scheme", MULTINOMIAL),
+                trigger=pol.get("trigger", "always"),
+                kappa2=math.inf if kappa2 == "inf" else _number(kappa2, "policy.kappa2"),
+                ratio=_number(pol.get("ell", 1.0), "policy.ell"),
+            ),
             horizon=horizon,
             functions=functions,
             particle_counts=counts,
@@ -243,27 +240,19 @@ def build_model(section: dict, horizon: int):
                 high=_number(section.get("obs_high", 3.0), "model.obs_high"),
             )
         else:
-            table = np.array(_numbers(section["observations"], "model.observations", 2))
-            if table.ndim != 2 or table.shape[0] < horizon:
-                raise ConfigError("model.observations: need one likelihood row per step")
-        try:
-            return DiscreteHMM(initial, transition, table)
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
+            table = _numbers(section["observations"], "model.observations", 2)
+        return DiscreteHMM(initial, transition, table)
     if section["type"] == "linear_gaussian":
         _require_keys(params, "model.parameters", ("ar_coeff", "state_std", "obs_std"))
         coeffs = [
             _number(params[key], f"model.parameters.{key}")
             for key in ("ar_coeff", "state_std", "obs_std")
         ]
-        try:
-            if has_obs:
-                obs = _numbers(section["observations"], "model.observations", 1)
-            else:
-                obs = LinearGaussianSSM(*coeffs, [0.0]).simulate_observations(horizon, obs_seed)
-            return LinearGaussianSSM(*coeffs, obs)
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
+        if has_obs:
+            obs = _numbers(section["observations"], "model.observations", 1)
+        else:
+            obs = LinearGaussianSSM(*coeffs, [0.0]).simulate_observations(horizon, obs_seed)
+        return LinearGaussianSSM(*coeffs, obs)
     raise ConfigError(f"model.type: unknown type {section['type']!r}")
 
 
@@ -296,6 +285,30 @@ def _sanitize(obj):
     if isinstance(obj, float) and math.isinf(obj):
         return "inf"
     return obj
+
+
+def config_echo(experiment: ExperimentConfig) -> dict:
+    """The experiment as the JSON-ready config document that reports echo and hash."""
+    model, policy = experiment.model, experiment.policy
+    return _sanitize({
+        "model": {
+            "type": "discrete_hmm" if isinstance(model, DiscreteHMM) else "linear_gaussian",
+            **{f.name: getattr(model, f.name) for f in fields(model)},
+        },
+        "proposal": experiment.proposal_kind,
+        "policy": {"scheme": policy.scheme, "trigger": policy.trigger,
+                   "kappa2": policy.kappa2, "ell": policy.ratio},
+        "experiment": {
+            "horizon": experiment.horizon,
+            "functions": [
+                {key: getattr(fn, key) for key in ("name", "kind") + FUNCTION_FIELDS[fn.kind]}
+                for fn in experiment.functions
+            ],
+            "m_list": experiment.particle_counts,
+            "replicates": experiment.replicates,
+            "seed": experiment.seed,
+        },
+    })
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
@@ -467,11 +480,12 @@ def run_command(args, cfg: dict) -> int:
     _integer(args.workers, "--workers", 1)
     experiment = build_experiment(cfg, args.seed)
     outcome = _COMMANDS[args.command](args, experiment)
+    config = config_echo(experiment)
     summary = dict(
         outcome.summary,
         command=args.command,
-        config=experiment.to_dict(),
-        config_hash=experiment.config_hash(),
+        config=config,
+        config_hash=hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         version=__version__,
     )
     out = Path(args.out_dir)

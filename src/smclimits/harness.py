@@ -17,12 +17,11 @@ Every replicate draws its generator from (master seed, particle count,
 replicate index), so reports are pure functions of their configuration at
 any worker count.  Test functions enter the filter's estimate as their
 values at the terminal coordinates, :meth:`TerminalFunction.values_at`.
+The config document's format is the command line's alone (``cli``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import math
 import os
@@ -39,6 +38,7 @@ from .state_space import (
     DiscreteHMM,
     LinearGaussianSSM,
     filter_marginal,
+    require_proposal_kind,
     smc_run,
 )
 
@@ -139,17 +139,6 @@ class TerminalFunction:
             raise ValueError("continuous models support affine functions only")
         return self.a * x + self.b
 
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "kind": self.kind}
-        if self.kind == "indicator":
-            d["state"] = self.state
-        elif self.kind == "affine":
-            d["a"] = self.a
-            d["b"] = self.b
-        elif self.kind == "table":
-            d["values"] = list(self.values)
-        return d
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -165,8 +154,12 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        require_proposal_kind(self.model, self.proposal_kind)
         if len(self.functions) < 1:
             raise ValueError("at least one test function is required")
+        # truths, rows and CSV columns are keyed by name
+        if len({fn.name for fn in self.functions}) < len(self.functions):
+            raise ValueError("test function names must be distinct")
         counts = self.particle_counts
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ValueError("particle counts must be strictly increasing")
@@ -197,30 +190,6 @@ class ExperimentConfig:
                         f"{self.horizon - 1} selections"
                     )
                 low, high = self.policy.output_size(low), self.policy.output_size(high)
-
-    def to_dict(self) -> dict:
-        policy = self.policy
-        return {
-            "model": self.model.to_dict(),
-            "proposal": self.proposal_kind,
-            "policy": {
-                "scheme": policy.scheme,
-                "trigger": policy.trigger,
-                "kappa2": "inf" if math.isinf(policy.kappa2) else policy.kappa2,
-                "ell": policy.ratio,
-            },
-            "experiment": {
-                "horizon": self.horizon,
-                "functions": [f.to_dict() for f in self.functions],
-                "m_list": list(self.particle_counts),
-                "replicates": self.replicates,
-                "seed": self.seed,
-            },
-        }
-
-    def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def truth(self, fn: TerminalFunction) -> float:
         if isinstance(self.model, DiscreteHMM):

@@ -21,8 +21,9 @@ Three proposal kernels are built in:
   Metropolis-Hastings move that leaves the previous smoothing law
   invariant, then extend as the prior kernel does.
 
-Each kind is defined once, by :func:`step_kernel`; the filter and the variance
-oracle both read that definition.  A discrete model builds its log-likelihood
+Each kind is defined once, by :func:`step_kernel`, and which models take it
+once, by :func:`require_proposal_kind`; the filter and the variance oracle
+both read those definitions.  A discrete model builds its log-likelihood
 table and cumulative transition rows once, on first use; the optimal kernel
 builds its tilted rows once per kernel.  For discrete models every oracle
 quantity is an exact finite sum, which the oracle modules rely on; a scalar
@@ -120,14 +121,6 @@ class DiscreteHMM:
         """The transition rows' cumulative sums, built on first use and read-only."""
         return _read_only(np.cumsum(self.transition, axis=1))
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "discrete_hmm",
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "likelihoods": self.likelihoods.tolist(),
-        }
-
 
 def random_likelihood_table(
     horizon: int, n_states: int, obs_seed: int, low: float = 0.3, high: float = 3.0
@@ -202,15 +195,6 @@ class LinearGaussianSSM:
             pred_mean = self.ar_coeff * mean
             pred_var = self.ar_coeff**2 * var + self.state_std**2
         return means, variances
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "linear_gaussian",
-            "ar_coeff": self.ar_coeff,
-            "state_std": self.state_std,
-            "obs_std": self.obs_std,
-            "observations": self.observations.tolist(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +351,14 @@ class StepKernel:
         return q, (np.eye(n)[:, :, None] * rw[:, None, :]).reshape(n, n * n)
 
 
+def require_proposal_kind(model: DiscreteHMM | LinearGaussianSSM, kind: str) -> None:
+    """Raise unless ``kind`` is a proposal kind that ``model`` supports."""
+    if kind not in PROPOSAL_KINDS:
+        raise ValueError(f"unknown proposal kind {kind!r}")
+    if kind == RESAMPLE_MOVE and isinstance(model, LinearGaussianSSM):
+        raise ValueError("the path move is only available for discrete models")
+
+
 def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> StepKernel:
     """The proposal kernel and weight of the mutation into step k.
 
@@ -380,11 +372,8 @@ def step_kernel(model: DiscreteHMM | LinearGaussianSSM, k: int, kind: str) -> St
     """
     if not 2 <= k <= model.horizon:
         raise ValueError(f"step {k} outside 2..{model.horizon}")
-    if kind not in PROPOSAL_KINDS:
-        raise ValueError(f"unknown proposal kind {kind!r}")
+    require_proposal_kind(model, kind)
     if isinstance(model, LinearGaussianSSM):
-        if kind == RESAMPLE_MOVE:
-            raise ValueError("the path move is only available for discrete models")
         return StepKernel(model, k, kind)
     g = model.likelihoods[k - 1][None, :]
     if kind != OPTIMAL:
@@ -500,8 +489,7 @@ def smc_init(
     """
     if m < 1:
         raise ValueError("particle count must be >= 1")
-    if proposal_kind not in PROPOSAL_KINDS:
-        raise ValueError(f"unknown proposal kind {proposal_kind!r}")
+    require_proposal_kind(model, proposal_kind)
     if isinstance(model, DiscreteHMM):
         cum = np.cumsum(model.initial * model.likelihoods[0])
         u = rng.random(m) * cum[-1]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .resampling import MULTINOMIAL, ResamplingPolicy
-from .state_space import (MAX_ORACLE_CELLS, PROPOSAL_KINDS, RESAMPLE_MOVE, DiscreteHMM,
+from .state_space import (MAX_ORACLE_CELLS, RESAMPLE_MOVE, DiscreteHMM, require_proposal_kind,
                           step_kernel)
 
 BOUNDARY_MARGIN = 0.1
@@ -146,8 +146,7 @@ def run_recursion(
     deterministic indicator stops predicting the finite-population
     decision reliably.
     """
-    if proposal_kind not in PROPOSAL_KINDS:
-        raise ValueError(f"unknown proposal kind {proposal_kind!r}")
+    require_proposal_kind(model, proposal_kind)
     if not isinstance(model, DiscreteHMM):
         raise ValueError("the exact variance recursion needs a discrete model")
     if policy.can_fire and policy.scheme != MULTINOMIAL:

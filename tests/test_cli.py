@@ -214,6 +214,9 @@ _DROP = object()  # a patch value that removes its key
 def _patched(patch: dict) -> dict:
     cfg = _small_experiment()
     for section, values in patch.items():
+        if not isinstance(values, dict):  # a value that replaces the whole section
+            cfg[section] = values
+            continue
         cfg[section].update(values)
         for key in [key for key, value in values.items() if value is _DROP]:
             del cfg[section][key]
@@ -492,12 +495,65 @@ class TestRejectedUpFront:
                 "verify-lln", {"model": {"obs_seed": _DROP, "observations": [[1.0, 2.0], [1.0]]}},
                 "model.observations: rows of unequal length", id="likelihoods-ragged",
             ),
+            pytest.param(
+                "verify-lln",
+                {"model": _LGSSM, "proposal": "resample_move",
+                 "experiment": {"functions": [{"kind": "affine"}]}},
+                "the path move is only available for discrete models", id="path-move-on-lgssm",
+            ),
+            pytest.param(
+                "verify-lln", {"proposal": "gibbs"}, "unknown proposal kind 'gibbs'",
+                id="unknown-proposal",
+            ),
+            pytest.param(
+                "verify-lln", _function(kind="indicator", a=5, values=[9, 9]),
+                "experiment.functions[0]: unknown keys ['a', 'values']", id="indicator-stray-keys",
+            ),
+            pytest.param(
+                "verify-lln", _function(kind="affine", state=1),
+                "experiment.functions[0]: unknown keys ['state']", id="affine-stray-keys",
+            ),
+            pytest.param(
+                "verify-lln", _function(kind="table", values=[0.1, 0.7], b=1.0),
+                "experiment.functions[0]: unknown keys ['b']", id="table-stray-keys",
+            ),
+            pytest.param("verify-lln", {"policy": "fast"}, "policy: expected an object",
+                         id="section-not-object"),
+            pytest.param(
+                "verify-lln", _function(kind="table"),
+                "experiment.functions[0].values: expected a list", id="table-without-values",
+            ),
+            pytest.param(
+                "verify-lln", _function(kind="spline"), "experiment.functions[0].kind: expected "
+                "one of ['affine', 'indicator', 'table']", id="unknown-function-kind",
+            ),
+            pytest.param("verify-lln", {"experiment": {"m_list": []}},
+                         "experiment.m_list: expected a nonempty list", id="m-list-empty"),
+            pytest.param("verify-lln", {"experiment": {"functions": []}},
+                         "experiment.functions: expected a nonempty list", id="functions-empty"),
+            pytest.param("verify-lln", {"model": {"type": "particle"}},
+                         "model.type: unknown type 'particle'", id="unknown-model-type"),
+            pytest.param("verify-lln", _lgssm(ar_coeff=1.0), "|ar_coeff| < 1 is required",
+                         id="lgssm-ar-coeff-one"),
         ],
     )
     def test_exit_two_and_no_output(self, tmp_path, capsys, command, patch, message):
         out = tmp_path / "out"
         cfg_path = _write(tmp_path, _patched(patch))
         assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(None, "cannot read config file", id="unreadable-file"),
+        pytest.param("[1, 2]", "top level: expected an object", id="top-level-not-object"),
+    ])
+    def test_unusable_document_exits_two(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["verify-lln", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
 

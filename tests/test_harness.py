@@ -1,6 +1,7 @@
 """Tests for the replication harness, KS machinery, and the counterexample."""
 
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -111,6 +112,11 @@ def tiny_config(bench_model):
     )
 
 
+def _config_hash(config: ExperimentConfig) -> str:
+    """The hash a report carries: sha256 of the sorted-key JSON of the CLI's config echo."""
+    return hashlib.sha256(json.dumps(cli.config_echo(config), sort_keys=True).encode()).hexdigest()
+
+
 class TestRunReplicates:
     def test_single_row(self, bench_model):
         config = ExperimentConfig(
@@ -216,6 +222,15 @@ class TestRunReplicates:
         config(fn, shrinking, counts=(256,))  # 256 -> 64 -> 16 -> 4 -> 1
         config(fn, ResamplingPolicy(trigger="never", ratio=0.25), counts=(1,))
 
+    def test_repeated_function_names_rejected(self, bench_model):
+        # truths, rows and CSV columns are keyed by name: a repeat used to drop a function
+        functions = (TerminalFunction("f", state=0), TerminalFunction("f", state=1))
+        with pytest.raises(ValueError, match="test function names must be distinct"):
+            ExperimentConfig(
+                model=bench_model, proposal_kind="prior", policy=ResamplingPolicy(), horizon=5,
+                functions=functions, particle_counts=(64,), replicates=2, seed=0,
+            )
+
     def test_population_growth_bounded(self, bench_model):
         def config(counts, policy):
             return ExperimentConfig(
@@ -254,7 +269,7 @@ class TestRunReplicates:
             replicates=tiny_config.replicates,
             seed=tiny_config.seed + 1,
         )
-        assert tiny_config.config_hash() != other.config_hash()
+        assert _config_hash(tiny_config) != _config_hash(other)
         same = ExperimentConfig(**{
             "model": bench_model,
             "proposal_kind": tiny_config.proposal_kind,
@@ -265,7 +280,7 @@ class TestRunReplicates:
             "replicates": tiny_config.replicates,
             "seed": tiny_config.seed,
         })
-        assert tiny_config.config_hash() == same.config_hash()
+        assert _config_hash(tiny_config) == _config_hash(same)
 
     def test_flat_likelihood_estimates_are_unbiased(self):
         model = DiscreteHMM([0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 3)

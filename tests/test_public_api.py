@@ -30,3 +30,25 @@ def test_src_imports_only_the_standard_library_and_numpy():
             stray += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert stray == []
+
+
+def test_only_the_cli_knows_the_config_format():
+    # the config document is parsed, echoed and hashed in cli alone
+    format_names = {"json", "hashlib", "to_dict", "config_hash"}
+    package = Path(smclimits.__file__).parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] in format_names]
+    assert stray == []
