@@ -186,10 +186,6 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> ExperimentC
     if not isinstance(exp["functions"], list) or not exp["functions"]:
         raise ConfigError("experiment.functions: expected a nonempty list")
     functions = tuple(_parse_function(f, i) for i, f in enumerate(exp["functions"]))
-    names = [fn.name for fn in functions]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"experiment.functions[{i}].name: duplicate name {name!r}")
 
     pol = cfg["policy"]
     _require_keys(pol, "policy", (), ("scheme", "trigger", "kappa2", "ell"))

@@ -49,22 +49,22 @@ def enumerated_moments(
     if scheme == MULTINOMIAL:
         p = sample.weights / sample.total
         outcomes = _all_tuples(m, m_out)
-        probs = np.prod(p[outcomes], axis=1)
-        averages = np.mean(vals[:, outcomes], axis=2)
+        probs = p[outcomes].prod(axis=1)
+        averages = vals[:, outcomes].sum(axis=2) / m_out
     elif scheme == RESIDUAL:
         floors, probs_res, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
-        deterministic = np.sum(floors * vals, axis=1)
+        deterministic = (floors * vals).sum(axis=1)
         if probs_res is None:
             means, variances = deterministic / m_out, np.zeros(vals.shape[0])
             return (float(means[0]), 0.0) if one else (means, variances)
         outcomes = _all_tuples(m, m_out - m_bar)
-        probs = np.prod(probs_res[outcomes], axis=1)
-        averages = (deterministic[:, None] + np.sum(vals[:, outcomes], axis=2)) / m_out
+        probs = probs_res[outcomes].prod(axis=1)
+        averages = (deterministic[:, None] + vals[:, outcomes].sum(axis=2)) / m_out
     else:
         raise ValueError(f"unknown resampling scheme {scheme!r}")
     # one contiguous row per function: np.dot rounds a strided row differently
     averages = np.ascontiguousarray(averages)
-    means = np.array([float(np.dot(probs, row)) for row in averages])
-    seconds = np.array([float(np.dot(probs, row * row)) for row in averages])
+    means = np.array([np.dot(probs, row) for row in averages])
+    seconds = np.array([np.dot(probs, row) for row in averages * averages])
     variances = seconds - means * means
     return (float(means[0]), float(variances[0])) if one else (means, variances)

@@ -22,11 +22,11 @@ The config document's format is the command line's alone (``cli``).
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -158,8 +158,10 @@ class ExperimentConfig:
         if len(self.functions) < 1:
             raise ValueError("at least one test function is required")
         # truths, rows and CSV columns are keyed by name
-        if len({fn.name for fn in self.functions}) < len(self.functions):
-            raise ValueError("test function names must be distinct")
+        names = [fn.name for fn in self.functions]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"test function names must be distinct: {name!r} repeats")
         counts = self.particle_counts
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ValueError("particle counts must be strictly increasing")
@@ -323,7 +325,9 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         # a pool starts all its processes at once: no more than the tasks or cores
         size = min(workers, len(tasks), os.cpu_count() or 1)
         try:
-            with ProcessPoolExecutor(max_workers=size) as pool:
+            # read here, not imported at the top: the pool module loads
+            # multiprocessing and sockets, which a serial run never needs
+            with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
                 # one replicate per task: cost grows with the particle count,
                 # so chunks of several leave a worker idle at the end
                 rows = _collect(pool.map(_replicate_row, tasks), config.replicates, start)

@@ -123,7 +123,7 @@ def _residual_alloc(weights: np.ndarray, total: float, m_out: int) -> ResidualAl
     # Floors must never exceed the exact targets: if rounding pushed a
     # near-integer target up, back the suspect entries off until the total
     # deterministic count fits.
-    m_bar = int(np.sum(floors))
+    m_bar = int(floors.sum())
     while m_bar > m_out:
         suspects = np.flatnonzero((floors > 0) & (target - floors == 0.0))
         if suspects.size == 0:
@@ -182,14 +182,14 @@ def conditional_mean(
     """
     vals, one = _moment_rows(sample, f_values, m_out)
     if scheme == MULTINOMIAL:
-        mean = np.sum(sample.weights * vals, axis=1) / sample.total
+        mean = (sample.weights * vals).sum(axis=1) / sample.total
     elif scheme == RESIDUAL:
         floors, probs, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
-        det = np.sum(floors * vals, axis=1)
+        det = (floors * vals).sum(axis=1)
         if probs is None:
             mean = det / m_out
         else:
-            mean = (det + (m_out - m_bar) * np.sum(probs * vals, axis=1)) / m_out
+            mean = (det + (m_out - m_bar) * (probs * vals).sum(axis=1)) / m_out
     else:
         raise ValueError(f"unknown resampling scheme {scheme!r}")
     return float(mean[0]) if one else mean
@@ -210,15 +210,15 @@ def conditional_variance(
     vals, one = _moment_rows(sample, f_values, m_out)
     if scheme == MULTINOMIAL:
         p = sample.weights / sample.total
-        mean = np.sum(p * vals, axis=1)
-        var = (np.sum(p * vals * vals, axis=1) - mean * mean) / m_out
+        mean = (p * vals).sum(axis=1)
+        var = ((p * vals * vals).sum(axis=1) - mean * mean) / m_out
     elif scheme == RESIDUAL:
         floors, probs, m_bar = _residual_alloc(sample.weights, sample.total, m_out)
         if probs is None:
             var = np.zeros(vals.shape[0])
         else:
-            mean = np.sum(probs * vals, axis=1)
-            var1 = np.sum(probs * vals * vals, axis=1) - mean * mean
+            mean = (probs * vals).sum(axis=1)
+            var1 = (probs * vals * vals).sum(axis=1) - mean * mean
             var = (m_out - m_bar) * var1 / (m_out * m_out)
     else:
         raise ValueError(f"unknown resampling scheme {scheme!r}")

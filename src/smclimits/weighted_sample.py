@@ -25,6 +25,7 @@ import numpy as np
 def f_value_rows(f_values, m: int) -> tuple[np.ndarray, bool]:
     """``f_values`` as C-contiguous (k, m) rows, and whether it was one row.
 
+    C-contiguous float64 input comes back as a view, anything else as a copy.
     Contiguous rows matter: a strided row sent to ``np.dot`` can round
     differently from the same values in a contiguous one-row call.
     Raises ``ValueError`` ("non-finite integrand") on any non-finite value.
@@ -34,7 +35,9 @@ def f_value_rows(f_values, m: int) -> tuple[np.ndarray, bool]:
         raise ValueError(f"f_values must have shape ({m},) or (k, {m})")
     if not np.isfinite(vals).all():
         raise ValueError("non-finite integrand")
-    return np.ascontiguousarray(np.atleast_2d(vals)), vals.ndim == 1
+    one = vals.ndim == 1
+    rows = vals.reshape(1, m) if one else vals
+    return (rows if rows.flags.c_contiguous else rows.copy()), one
 
 
 TINY = float(np.finfo(float).tiny)  # the smallest normal float
@@ -106,12 +109,12 @@ class WeightedSample:
             raise ValueError("weights must be 1-d")
         if w.size < 1:
             raise ValueError("a weighted sample holds at least one particle")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise ValueError("weights must be nonnegative")
         with np.errstate(over="ignore"):  # an overflowing total is refused below
-            total = float(np.sum(w))
+            total = float(w.sum())
         if total <= 0.0:
             raise ValueError("degenerate weights: total weight is zero")
         if total == math.inf:

@@ -342,7 +342,7 @@ class TestRejectedUpFront:
                         ]
                     }
                 },
-                "experiment.functions[1].name",
+                "test function names must be distinct: 'f' repeats",
                 id="duplicate-names",
             ),
             pytest.param(

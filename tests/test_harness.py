@@ -163,7 +163,7 @@ class TestRunReplicates:
             def __init__(self, *args, **kwargs):
                 raise OSError("no subprocess support")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", NoPool)
         with caplog.at_level(logging.WARNING, logger="smclimits"):
             report = run_replicates(tiny_config, workers=2)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
@@ -189,7 +189,7 @@ class TestRunReplicates:
                 return map(fn, tasks)
 
         serial = run_replicates(tiny_config).csv_lines()
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         for workers in (100_000, 9, 2, 1, 0):
             assert run_replicates(tiny_config, workers=workers).csv_lines() == serial

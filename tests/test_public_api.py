@@ -1,6 +1,8 @@
 """The package's public surface."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +54,16 @@ def test_only_the_cli_knows_the_config_format():
             stray += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] in format_names]
     assert stray == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a run at --workers > 1 needs the pool; a fresh interpreter shows
+    # whether importing the command line pulled it in anyway
+    probe = ("import sys, smclimits.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    package_root = str(Path(smclimits.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

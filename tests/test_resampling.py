@@ -19,6 +19,7 @@ from smclimits import (
     residual_limit_weight,
     residual_regularity_check,
 )
+from smclimits import verify
 from smclimits.enumeration import enumerated_moments
 from smclimits.resampling import _residual_alloc, categorical_indices, resample_indices
 
@@ -258,6 +259,32 @@ class TestTinyWeightTotals:
         n = 20_000
         hits = sum(int(resample_indices(weights, 1, RESIDUAL, rng)[0] == 0) for _ in range(n))
         assert _within_binomial_band(hits, n, 1.0 / 3.0)
+
+
+class TestUnbiasednessSuiteFailures:
+    def test_each_failing_function_is_recorded(self, monkeypatch):
+        # a closed form off by 1e-9 for one function and NaN for another, at
+        # one output size and scheme only
+        closed_form = verify.conditional_variance
+
+        def off(scheme, sample, f_values, m_out):
+            var = closed_form(scheme, sample, f_values, m_out)
+            if scheme == RESIDUAL and m_out == 2:
+                var = var + np.array([1e-9] + [0.0] * (var.size - 2) + [math.nan])
+            return var
+
+        passing = verify.unbiasedness_suite()
+        monkeypatch.setattr(verify, "conditional_variance", off)
+        report = verify.unbiasedness_suite()
+        assert passing["passed"] and not report["passed"]
+        assert report["n_checks"] == passing["n_checks"]
+        # the first weight vector is (1.0,): an indicator, then the coordinate
+        first, second = report["failures"][:2]
+        assert first == {"weights": [1.0], "m_out": 2, "scheme": RESIDUAL, "function": 0,
+                         "errors": [0.0, 0.0, 1e-9]}
+        assert (second["function"], second["errors"][:2]) == (1, [0.0, 0.0])
+        assert math.isnan(second["errors"][2])
+        assert report["max_abs_error"] >= 1e-9
 
 
 class TestLimitWeight:

@@ -8,7 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smclimits import WeightedSample
-from smclimits.weighted_sample import TINY, cv2_of_weights, ess_of_weights, unit_scaled
+from smclimits.enumeration import enumerated_moments
+from smclimits.resampling import MULTINOMIAL, RESIDUAL, conditional_mean, conditional_variance
+from smclimits.weighted_sample import (
+    TINY,
+    cv2_of_weights,
+    ess_of_weights,
+    estimate_of_weights,
+    f_value_rows,
+    unit_scaled,
+)
 
 
 class TestEstimate:
@@ -159,6 +168,57 @@ class TestPassedTotal:
             assert total < TINY
         assert cv2_of_weights(w, total) == cv2_of_weights(w)
         assert ess_of_weights(w, total) == ess_of_weights(w)
+
+
+def _laid_out(base: np.ndarray, layout: str) -> np.ndarray:
+    """f values over m points cut from the C-ordered (k, 2m) ``base``, in ``layout``."""
+    m = base.shape[1] // 2
+    if layout == "1-d":
+        return base[0, :m].copy()
+    if layout == "1-d strided":
+        return base[0, ::2]
+    if layout == "C":
+        return base[:, :m].copy()
+    if layout == "Fortran":
+        return np.asfortranarray(base[:, :m])
+    if layout == "strided":
+        return base[:, ::2]
+    return np.rint(base[:, :m]).astype(np.int64)  # "integer"
+
+
+class TestRowsOfAnyLayout:
+    """Every consumer of f_value_rows gives the bits of a C-contiguous float64 copy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4),
+        k=st.integers(1, 3),
+        layout=st.sampled_from(["1-d", "1-d strided", "C", "Fortran", "strided", "integer"]),
+        m_out=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_same_bits_as_the_contiguous_copy(self, weights, k, layout, m_out, data):
+        assume(sum(weights) > 0.0)
+        m = len(weights)
+        cells = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=2 * k * m, max_size=2 * k * m))
+        f_values = _laid_out(np.array(cells).reshape(k, 2 * m), layout)
+        copy = np.ascontiguousarray(f_values, dtype=float)
+
+        rows, one = f_value_rows(f_values, m)
+        assert one == (f_values.ndim == 1)
+        assert rows.shape == (1 if one else k, m)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, copy.reshape(rows.shape))
+
+        sample = WeightedSample(weights)
+        pairs = [(estimate_of_weights(sample.weights, f_values),
+                  estimate_of_weights(sample.weights, copy))]
+        for scheme in (MULTINOMIAL, RESIDUAL):
+            for moment in (conditional_mean, conditional_variance, enumerated_moments):
+                pairs.append((moment(scheme, sample, f_values, m_out),
+                              moment(scheme, sample, copy, m_out)))
+        for got, want in pairs:
+            assert np.array_equal(got, want)
 
 
 class TestNormalize:
