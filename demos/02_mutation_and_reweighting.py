@@ -47,4 +47,5 @@ print("kind      CV^2 of the weights   W values seen")
 for kind, kernel in kernels.items():
     _, log_w = kernel.mutate(parents, rng)
     weights = np.exp(log_w)
-    print(f"{kind:8s}  {cv2_of_weights(weights):19.4f}   {np.unique(weights.round(4))}")
+    cv2 = cv2_of_weights(weights, float(weights.sum()))
+    print(f"{kind:8s}  {cv2:19.4f}   {np.unique(weights.round(4))}")

@@ -54,20 +54,20 @@ config = ExperimentConfig(
 )
 report = run_replicates(config, workers=1)
 sigma2 = run_recursion(model, "prior", policy, horizon=4).sigma2(np.array([1.0, 0.0]))
-result = clt_check(report, sigma2)
+result = clt_check(report, sigma2, 4096, "ind0")
 print(f"exact asymptotic variance: {sigma2:.5f}")
 print(f"sample variance of scaled errors / exact: {result.var_ratio:.3f}")
 print(f"KS statistic {result.ks_stat:.4f}, p-value {result.ks_p:.3f}")
 print()
 
 # A quick visual: the standardized errors, bucketed against the normal.
-errors = report.scaled_errors(4096) / math.sqrt(sigma2)
+errors = report.scaled_errors(4096, "ind0") / math.sqrt(sigma2)
 hist, edges = np.histogram(errors, bins=np.linspace(-3, 3, 13))
 print("standardized scaled errors:")
 for count, left, right in zip(hist, edges, edges[1:]):
     print(f"  [{left:+.1f},{right:+.1f}) " + "#" * int(80 * count / len(errors)))
 
 # And the negative control: an inflated variance oracle must be rejected.
-broken = clt_check(report, 4.0 * sigma2)
+broken = clt_check(report, 4.0 * sigma2, 4096, "ind0")
 print(f"\nnegative control with a 4x oracle: var ratio {broken.var_ratio:.3f} "
       f"-> passed = {broken.passed}")

@@ -48,7 +48,7 @@ from .harness import (
 )
 from .resampling import MULTINOMIAL, ResamplingPolicy
 from .state_space import DiscreteHMM, LinearGaussianSSM, random_likelihood_table
-from .variance_oracle import VarianceRecursionState, run_recursion
+from .variance_oracle import run_recursion
 from .verify import (
     limit_weight_suite,
     unbiasedness_suite,
@@ -215,7 +215,7 @@ def build_model(section: dict, horizon: int):
         section,
         "model",
         ("type", "parameters"),
-        ("observations", "obs_seed", "obs_low", "obs_high"),
+        ("observations", "obs_seed"),
     )
     has_obs = "observations" in section
     has_seed = "obs_seed" in section
@@ -228,13 +228,7 @@ def build_model(section: dict, horizon: int):
         initial = _numbers(params["initial"], "model.parameters.initial", 1)
         transition = _numbers(params["transition"], "model.parameters.transition", 2)
         if has_seed:
-            table = random_likelihood_table(
-                horizon,
-                len(initial),
-                obs_seed,
-                low=_number(section.get("obs_low", 0.3), "model.obs_low"),
-                high=_number(section.get("obs_high", 3.0), "model.obs_high"),
-            )
+            table = random_likelihood_table(horizon, len(initial), obs_seed)
         else:
             table = _numbers(section["observations"], "model.observations", 2)
         return DiscreteHMM(initial, transition, table)
@@ -252,22 +246,12 @@ def build_model(section: dict, horizon: int):
     raise ConfigError(f"model.type: unknown type {section['type']!r}")
 
 
-def _require(path: str, check, *args) -> None:
-    """Run a harness precondition; its ValueError becomes a ConfigError at ``path``."""
+def _require(path: str | None, call, *args):
+    """``call(*args)``; its ValueError becomes a ConfigError at ``path`` (bare without one)."""
     try:
-        check(*args)
+        return call(*args)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _oracle(experiment: ExperimentConfig) -> VarianceRecursionState:
-    """The exact variance recursion of the experiment's filter; exit 2 where it has none."""
-    try:
-        return run_recursion(
-            experiment.model, experiment.proposal_kind, experiment.policy, experiment.horizon
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _sanitize(obj):
@@ -379,7 +363,8 @@ def cmd_verify_lln(args, experiment: ExperimentConfig) -> Outcome:
 
 def cmd_verify_clt(args, experiment: ExperimentConfig) -> Outcome:
     _require("experiment.replicates", require_clt_replicates, experiment.replicates)
-    state = _oracle(experiment)
+    state = _require(None, run_recursion, experiment.model, experiment.proposal_kind,
+                     experiment.policy, experiment.horizon)
     report = run_replicates(experiment, workers=args.workers)
     checks = []
     for fn in experiment.functions:
@@ -426,7 +411,8 @@ def cmd_counterexample(args, experiment: ExperimentConfig) -> Outcome:
 
 
 def cmd_variance_table(args, experiment: ExperimentConfig) -> Outcome:
-    state = _oracle(experiment)
+    state = _require(None, run_recursion, experiment.model, experiment.proposal_kind,
+                     experiment.policy, experiment.horizon)
     tables = [fn.table_for(experiment.model) for fn in experiment.functions]
     header = ["k", "epsilon", "normalizer", "cv2_limit", "gamma_total"] + [
         f"sigma2[{fn.name}]" for fn in experiment.functions

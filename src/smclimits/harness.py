@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -218,18 +219,19 @@ def _replicate_row(task: tuple[ExperimentConfig, int, int, dict]) -> dict:
         for fn in config.functions
     }
     final = trace.current
+    decisions = [int(b) for b in trace.decisions()]
     return {
         "m": m,
         "replicate": r,
         "final_ess": final.ess,
-        "n_resamples": trace.n_resamples(),
+        "n_resamples": sum(decisions),
         "final_max_weight_fraction": final.max_weight_fraction,
         "estimates": estimates,
         "scaled_errors": {
             name: math.sqrt(m) * (est - truths[name]) for name, est in estimates.items()
         },
         "cv2_by_step": trace.cv2_by_step(),
-        "decisions": [int(b) for b in trace.decisions()],
+        "decisions": decisions,
     }
 
 
@@ -256,10 +258,7 @@ def aggregate_rows(
         )
         cv2 = np.array([row["cv2_by_step"] for row in group])
         entry["mean_cv2_by_step"] = [float(x) for x in np.mean(cv2, axis=0)]
-        patterns: dict[str, int] = {}
-        for row in group:
-            key = "".join(str(d) for d in row["decisions"])
-            patterns[key] = patterns.get(key, 0) + 1
+        patterns = Counter("".join(str(d) for d in row["decisions"]) for row in group)
         entry["decision_patterns"] = dict(sorted(patterns.items()))
         out.append(entry)
     return out
@@ -273,9 +272,8 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
 
-    def scaled_errors(self, m: int, function: str | None = None) -> np.ndarray:
-        """The scaled errors of ``function`` (default: the first) at particle count m."""
-        function = next(iter(self.truths)) if function is None else function
+    def scaled_errors(self, m: int, function: str) -> np.ndarray:
+        """The scaled errors of ``function`` at particle count m."""
         return np.array([row["scaled_errors"][function] for row in self.rows if row["m"] == m])
 
     def csv_lines(self) -> list[str]:
@@ -426,13 +424,8 @@ def require_clt_replicates(n: int) -> None:
         raise ValueError("the CLT check needs at least 200 replicates")
 
 
-def clt_check(
-    report: ExperimentReport,
-    sigma2_oracle: float,
-    m: int | None = None,
-    function: str | None = None,
-) -> CltCheck:
-    """Compare scaled errors with the exact asymptotic variance.
+def clt_check(report: ExperimentReport, sigma2_oracle: float, m: int, function: str) -> CltCheck:
+    """Compare the scaled errors of ``function`` at m with the exact asymptotic variance.
 
     The variance ratio (the ``var_scaled_error`` aggregate at m over
     ``sigma2_oracle``) must fall in :data:`CLT_RATIO_BAND` and the KS
@@ -440,11 +433,6 @@ def clt_check(
     ``sigma2_oracle`` must be positive: :class:`ExperimentConfig` refuses
     every function of variance 0.
     """
-    function = next(iter(report.truths)) if function is None else function
-    if m is None:
-        if len(report.aggregates) != 1:
-            raise ValueError("specify the particle count when several were run")
-        m = report.aggregates[0]["m"]
     errors = report.scaled_errors(m, function)
     require_clt_replicates(errors.size)
     if not sigma2_oracle > 0.0:

@@ -118,8 +118,10 @@ def _residual_alloc(weights: np.ndarray, total: float, m_out: int) -> ResidualAl
     are drawn from the fractional parts (``residual_probs`` None if there are none)."""
     if total < m_out * TINY:  # else u * total is quantised and m_out / total can overflow
         weights, total = unit_scaled(weights, total)
+    # two input-sized arrays: the floors (truncation is the floor, as targets
+    # are nonnegative), and the targets, which become the probabilities in place
     target = weights * (float(m_out) / total)
-    floors = np.floor(target)
+    floors = target.astype(np.int64)
     # Floors must never exceed the exact targets: if rounding pushed a
     # near-integer target up, back the suspect entries off until the total
     # deterministic count fits.
@@ -128,13 +130,14 @@ def _residual_alloc(weights: np.ndarray, total: float, m_out: int) -> ResidualAl
         suspects = np.flatnonzero((floors > 0) & (target - floors == 0.0))
         if suspects.size == 0:
             suspects = np.flatnonzero(floors > 0)
-        floors[suspects[0]] -= 1.0
+        floors[suspects[0]] -= 1
         m_bar -= 1
     n_residual = m_out - m_bar
     if n_residual == 0:
-        return ResidualAllocation(floors.astype(np.int64), None, m_bar)
-    probs = (target - floors) / n_residual
-    return ResidualAllocation(floors.astype(np.int64), probs, m_bar)
+        return ResidualAllocation(floors, None, m_bar)
+    probs = np.subtract(target, floors, out=target)
+    probs /= n_residual
+    return ResidualAllocation(floors, probs, m_bar)
 
 
 def resample_indices(

@@ -122,17 +122,15 @@ class DiscreteHMM:
         return _read_only(np.cumsum(self.transition, axis=1))
 
 
-def random_likelihood_table(
-    horizon: int, n_states: int, obs_seed: int, low: float = 0.3, high: float = 3.0
-) -> np.ndarray:
+def random_likelihood_table(horizon: int, n_states: int, obs_seed: int) -> np.ndarray:
     """Draw a strictly positive likelihood table from a pinned seed.
 
-    Entries are independent Uniform(low, high); the same seed always
+    Entries are independent Uniform(0.3, 3.0); the same seed always
     yields the same observation record, and reports echo the table so the
     record is auditable.
     """
     rng = np.random.default_rng(np.random.SeedSequence(obs_seed))
-    return rng.uniform(low, high, size=(horizon, n_states))
+    return rng.uniform(0.3, 3.0, size=(horizon, n_states))
 
 
 @dataclass(frozen=True)
@@ -460,17 +458,6 @@ class SmcTrace:
     def cv2_by_step(self) -> list[float]:
         return [r.cv2 for r in self.records]
 
-    def n_resamples(self) -> int:
-        return sum(r.resampled for r in self.records)
-
-
-def as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
 
 def smc_init(
     model: DiscreteHMM | LinearGaussianSSM,
@@ -574,7 +561,7 @@ def smc_run(
     horizon: int | None = None,
 ) -> SmcTrace:
     """Run the filter from step 1 through ``horizon`` (default: all steps)."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     horizon = model.horizon if horizon is None else horizon
     if not 1 <= horizon <= model.horizon:
         raise ValueError(f"horizon outside 1..{model.horizon}")

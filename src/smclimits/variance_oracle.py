@@ -32,6 +32,7 @@ a variance is a lookup and the recursion is linear in the horizon.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,17 +60,11 @@ class VarianceRecursionState:
     """The recursion's steps 1 through k (immutable), as :func:`run_recursion` builds them."""
 
     model: DiscreteHMM
-    proposal_kind: str
-    policy: ResamplingPolicy
     steps: tuple[_StepState, ...]
 
     @property
     def k(self) -> int:
         return len(self.steps)
-
-    @property
-    def epsilons(self) -> tuple:
-        return tuple(s.epsilon for s in self.steps[1:])
 
     def sigma2(self, f, k: int | None = None) -> float:
         """sigma_k^2(f) of a terminal table f at step k (default: the current step)."""
@@ -141,10 +136,10 @@ def run_recursion(
     The indicator is ``policy.should_fire`` on the limiting squared CV,
     clamped at 0 as the filter's own statistic is: on flat steps rounding
     can leave gamma~(1) a few ulps below 1.  Under the "cv" trigger with a
-    finite threshold one warning is emitted when the limiting trigger
-    statistic sits within 10% of the threshold at any step: there the
-    deterministic indicator stops predicting the finite-population
-    decision reliably.
+    finite positive threshold one warning is emitted when the limiting
+    trigger statistic sits within 10% of the threshold at any step: there
+    the deterministic indicator stops predicting the finite-population
+    decision reliably (at threshold 0 every population selects).
     """
     require_proposal_kind(model, proposal_kind)
     if not isinstance(model, DiscreteHMM):
@@ -186,7 +181,7 @@ def run_recursion(
         gamma_total = float(np.sum(gamma2)) / normalizer**2
         cv2_limit = max(gamma_total - 1.0, 0.0)
         epsilon = int(policy.should_fire(cv2_limit))
-        if policy.trigger == "cv" and policy.can_fire:
+        if policy.trigger == "cv" and 0.0 < policy.kappa2 < math.inf:
             proximity = abs(gamma_total - (1.0 + policy.kappa2)) / (1.0 + policy.kappa2)
             if proximity < BOUNDARY_MARGIN:
                 near.append((k, proximity))
@@ -202,4 +197,4 @@ def run_recursion(
             RuntimeWarning,
             stacklevel=2,
         )
-    return VarianceRecursionState(model, proposal_kind, policy, tuple(steps))
+    return VarianceRecursionState(model, tuple(steps))

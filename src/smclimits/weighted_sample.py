@@ -49,26 +49,24 @@ def unit_scaled(weights: np.ndarray, ref: float) -> tuple[np.ndarray, float]:
     return np.ldexp(weights, shift), math.ldexp(ref, shift)
 
 
-def cv2_of_weights(weights: np.ndarray, total: float | None = None) -> float:
+def cv2_of_weights(weights: np.ndarray, total: float) -> float:
     """Relative variance of the normalized weights, M^-1 sum (M w_i / W - 1)^2.
 
     Shared by :meth:`WeightedSample.cv2` and the filter loop so both report
-    bit-identical values for the same weight vector.  A caller holding the
-    total ``float(weights.sum())`` passes it, here and to the ESS below.
+    bit-identical values for the same weight vector.  ``total`` is
+    ``float(weights.sum())``, here and in the ESS below.
     """
     w = np.asarray(weights, dtype=float)
     m = w.size
-    total = float(w.sum()) if total is None else total
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
     dev = m * (w / total) - 1.0
     return float((dev * dev).sum()) / m
 
 
-def ess_of_weights(weights: np.ndarray, total: float | None = None) -> float:
+def ess_of_weights(weights: np.ndarray, total: float) -> float:
     """Effective sample size, (sum w)^2 / sum w^2, in [1, M], squares kept in the normal range."""
     w = np.asarray(weights, dtype=float)
-    total = float(w.sum()) if total is None else total
     if total <= 0.0:
         raise ValueError("degenerate weights: total weight is zero")
     squares = float((w * w).sum()) if total * total < math.inf else 0.0

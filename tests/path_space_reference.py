@@ -240,7 +240,7 @@ def run_with_paths(
     paths: full(k) = [full(k-1)[ancestors][:, :k-c], paths_k].
     """
     horizon = model.horizon if horizon is None else horizon
-    rng = state_space.as_rng(seed)
+    rng = np.random.default_rng(seed)
     draw = state_space.resample_indices
     selections = []
 
@@ -255,7 +255,7 @@ def run_with_paths(
             smc_step(trace, rng)
     finally:
         state_space.resample_indices = draw
-    assert len(selections) == trace.n_resamples()  # one draw per record that resampled
+    assert len(selections) == sum(trace.decisions())  # one draw per record that resampled
     ancestors = iter(selections)
     full = trace.records[0].paths
     paths = [full]

@@ -141,7 +141,7 @@ def test_criterion_05_clt_reproduction(bench):
         )
         report = run_replicates(config)
         sigma2 = run_recursion(bench, "prior", config.policy, horizon=4).sigma2(f_table)
-        check = clt_check(report, sigma2)
+        check = clt_check(report, sigma2, 4096, "ind0")
         all_ok &= check.passed
         details.append(f"kappa2={kappa2}: ratio {check.var_ratio:.3f}, ks_p {check.ks_p:.3f}")
     elapsed = time.time() - start

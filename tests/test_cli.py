@@ -399,8 +399,9 @@ class TestRejectedUpFront:
                 "constant on the states the filter reaches at horizon 4", id="lln-stuck-table",
             ),
             pytest.param("verify-lln", {"model": {"obs_seed": "x"}}, "integer", id="obs-seed"),
-            pytest.param("verify-lln", {"model": {"obs_low": "low"}}, "number", id="obs-low"),
-            pytest.param("verify-lln", {"model": {"obs_high": None}}, "number", id="obs-high"),
+            # the record is always Uniform(0.3, 3.0): its range is no config key
+            pytest.param("verify-lln", {"model": {"obs_low": 0.3}}, "unknown keys", id="obs-low"),
+            pytest.param("verify-lln", {"model": {"obs_high": 3.0}}, "unknown keys", id="obs-high"),
             pytest.param(
                 "verify-lln", _function(kind="table", values=[_NAN, 1.0]),
                 "values[0]: expected a finite", id="table-nan",
@@ -426,10 +427,6 @@ class TestRejectedUpFront:
                 "verify-lln", {"model": {"obs_seed": _DROP, "observations": [[1.0, _INF]] * 3}},
                 "finite", id="likelihood-infinite",
             ),
-            pytest.param(
-                "verify-lln", {"model": {"obs_high": _INF}}, "finite", id="obs-high-infinite"
-            ),
-            pytest.param("verify-lln", {"model": {"obs_low": _NAN}}, "finite", id="obs-low-nan"),
             pytest.param(
                 "verify-lln", _lgssm(ar_coeff="0.9"), "ar_coeff: expected a finite",
                 id="ar-coeff-string",

@@ -295,7 +295,7 @@ class TestRunReplicates:
             seed=99,
         )
         report = run_replicates(config)
-        errs = report.scaled_errors(512)
+        errs = report.scaled_errors(512, "ind0")
         assert abs(float(np.mean(errs))) < 4 * float(np.std(errs)) / math.sqrt(len(errs))
 
     def test_validation(self, bench_model):
@@ -483,35 +483,35 @@ def clt_report_and_sigma(bench_model):
 class TestCltCheck:
     def test_passes_with_oracle_variance(self, clt_report_and_sigma):
         report, sigma2 = clt_report_and_sigma
-        check = clt_check(report, sigma2)
+        check = clt_check(report, sigma2, 1024, "ind0")
         assert check.passed
 
     def test_corrupted_oracle_fails(self, clt_report_and_sigma):
         # negative control: a four-fold variance corruption must be detected
         report, sigma2 = clt_report_and_sigma
-        assert not clt_check(report, 4.0 * sigma2).passed
+        assert not clt_check(report, 4.0 * sigma2, 1024, "ind0").passed
 
     def test_needs_replicates(self, tiny_config):
         report = run_replicates(tiny_config)
         with pytest.raises(ValueError, match="200"):
-            clt_check(report, 1.0, m=32)
+            clt_check(report, 1.0, 32, "ind0")
 
     def test_zero_variance_paths(self, clt_report_and_sigma):
         # a function with sigma^2 = 0 never reaches the check: the config refuses it
         report, _ = clt_report_and_sigma
         for sigma2 in (0.0, -1.0):
             with pytest.raises(ValueError, match="positive oracle variance"):
-                clt_check(report, sigma2)
+                clt_check(report, sigma2, 1024, "ind0")
 
     def test_reads_the_aggregate_variance(self, clt_report_and_sigma):
         report, sigma2 = clt_report_and_sigma
-        errors = report.scaled_errors(1024)
+        errors = report.scaled_errors(1024, "ind0")
         expected = float(np.var(errors, ddof=1)) / sigma2
-        assert clt_check(report, sigma2).var_ratio == expected
+        assert clt_check(report, sigma2, 1024, "ind0").var_ratio == expected
         edited = dataclasses.replace(
             report, aggregates=[dict(report.aggregates[0], **{"var_scaled_error[ind0]": sigma2})]
         )
-        assert clt_check(edited, sigma2).var_ratio == 1.0
+        assert clt_check(edited, sigma2, 1024, "ind0").var_ratio == 1.0
 
 
 class TestCounterexample:

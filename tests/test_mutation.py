@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smclimits import DiscreteHMM, step_kernel
-from smclimits.state_space import as_rng
 
 # a two-state model whose weights vary with the offspring at every step
 MODEL = DiscreteHMM(
@@ -21,22 +20,22 @@ class TestMutateBasics:
         # one offspring per parent; the path move also carries the moved coordinate
         parents = np.array([[0, 1], [1, 1], [1, 0], [0, 0], [1, 1]])
         for kind in ("prior", "optimal", "resample_move"):
-            carried, log_w = step_kernel(MODEL, 3, kind).mutate(parents, as_rng(0))
+            carried, log_w = step_kernel(MODEL, 3, kind).mutate(parents, np.random.default_rng(0))
             assert carried.shape == (5, 2 if kind == "resample_move" else 1)
             assert log_w.shape == (5,)
 
     def test_deterministic_given_seed(self):
         kernel = step_kernel(MODEL, 3, "resample_move")
         parents = np.array([[0, 1], [1, 0], [0, 0]] * 4)
-        a = kernel.mutate(parents, as_rng(3))
-        b = kernel.mutate(parents, as_rng(3))
+        a = kernel.mutate(parents, np.random.default_rng(3))
+        b = kernel.mutate(parents, np.random.default_rng(3))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_weight_positivity_preserved(self):
         parents = np.array([[0, 1], [1, 0]] * 50)
         for kind in ("prior", "optimal", "resample_move"):
-            _, log_w = step_kernel(MODEL, 3, kind).mutate(parents, as_rng(1))
+            _, log_w = step_kernel(MODEL, 3, kind).mutate(parents, np.random.default_rng(1))
             assert np.all(np.isfinite(log_w))
 
     @pytest.mark.parametrize("kind", ["prior", "optimal", "resample_move"])

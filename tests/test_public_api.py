@@ -15,6 +15,19 @@ def test_every_exported_name_resolves():
     assert set(smclimits.__all__) <= set(namespace)
 
 
+def test_the_imports_and_all_list_the_same_names_once():
+    # __init__ names every export twice, in its imports and in __all__: the
+    # two lists must not drift apart, and neither may repeat a name
+    tree = ast.parse(Path(smclimits.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    (listed,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", "") == "__all__"]
+    assert len(set(imported)) == len(imported)
+    assert len(set(listed)) == len(listed)
+    assert set(imported) == set(listed)
+
+
 def test_src_imports_only_the_standard_library_and_numpy():
     # numpy is the only declared runtime dependency; scipy is installed for
     # the tests, so a stray import of it would otherwise pass unnoticed

@@ -217,6 +217,16 @@ class TestAllocationStress:
                 assert np.all(probs >= 0.0)
                 assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_floors_back_off_to_the_output_size(self):
+        # a total below the weights' sum gives targets [2, 2] for 2 slots:
+        # the floors must come down to fit, each still at most its target
+        weights = np.array([1.0, 1.0])
+        floors, probs, m_bar = _residual_alloc(weights, 1.0, 2)
+        assert floors.tolist() == [1, 1]
+        assert m_bar == int(floors.sum()) == 2
+        assert np.all(floors <= weights * 2 / 1.0)
+        assert probs is None
+
     def test_residual_layout_keeps_deterministic_copies_first(self, rng):
         w = np.array([0.47, 0.34, 0.19])
         floors, _, m_bar = _alloc(w, 7)

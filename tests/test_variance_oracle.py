@@ -71,6 +71,11 @@ def cv(kappa2):
     return ResamplingPolicy(trigger="cv", kappa2=kappa2)
 
 
+def epsilons(state):
+    """The resampling indicators of steps 2 through k."""
+    return tuple(s.epsilon for s in state.steps[1:])
+
+
 def unclamped_cv2_limit(state, kind):
     """gamma~(1) - 1 of the next mutation, before the recursion clamps it at 0."""
     kernel = step_kernel(state.model, state.k + 1, kind)
@@ -190,7 +195,7 @@ class TestRecursionInvariants:
         # the trigger statistic genuinely exceeds 1 at every step here
         for s in state.steps[1:]:
             assert s.cv2_limit > 0.0
-        assert state.epsilons == (1, 1, 1, 1)
+        assert epsilons(state) == (1, 1, 1, 1)
 
 
 class TestFlatLikelihoodReductions:
@@ -258,7 +263,7 @@ class TestFlatLikelihoodReductions:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     state = run_recursion(model, "prior", policy, horizon=horizon)
-                assert state.epsilons == (1,) * (horizon - 1)
+                assert epsilons(state) == (1,) * (horizon - 1)
                 assert state.sigma2(f) == pytest.approx(cascade(horizon, f), abs=1e-12)
 
 
@@ -329,10 +334,22 @@ class TestCrossKindMonteCarlo:
 
 
 class TestBoundaryWarning:
-    def test_flat_likelihood_at_zero_threshold_warns(self):
+    def test_flat_likelihood_at_zero_threshold_is_silent(self):
+        # at kappa2 = 0 every finite population selects, as the indicator does:
+        # a statistic at the threshold cannot make the two disagree
         model = DiscreteHMM([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1.0, 1.0]] * 2)
-        with pytest.warns(RuntimeWarning, match="threshold"):
-            run_recursion(model, "prior", cv(0.0), horizon=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = run_recursion(model, "prior", cv(0.0), horizon=2)
+        assert epsilons(state) == (1,)
+
+    def test_builtin_model_near_the_threshold_warns(self, bench_model):
+        # at step 3 the limiting squared CV is 0.6952: 1.6952 is within 0.3% of 1 + 0.70
+        with pytest.warns(RuntimeWarning) as record:
+            run_recursion(bench_model, "prior", cv(0.70), horizon=4)
+        assert len(record) == 1
+        assert "within 0.3% of the threshold at 1 step(s), the first at step 3" in str(
+            record[0].message)
 
     def test_far_from_threshold_is_silent(self, bench_model):
         with warnings.catch_warnings():
@@ -359,7 +376,7 @@ class TestPreconditions:
 
     def test_without_selection_scheme_and_ell_do_not_matter(self, bench_model):
         never = ResamplingPolicy(scheme="residual", trigger="never", ratio=2.0)
-        assert run_recursion(bench_model, "prior", never).epsilons == (0, 0, 0, 0)
+        assert epsilons(run_recursion(bench_model, "prior", never)) == (0, 0, 0, 0)
 
     def test_continuous_model(self):
         model = LinearGaussianSSM(0.9, 1.0, 0.5, [0.1, 0.2])
